@@ -599,8 +599,9 @@ class Rank1Sweep:
 def sweep_rank1(ctx: FieldCtx) -> Rank1Sweep:
     if ctx.p == 2:
         raise EvenCharacteristic("rank-1 sweep checks an odd-p theorem")
-    t = ff.tables(ctx)
     q, p = ctx.q, ctx.p
+    ff.check_bytes((q - 1) * q * q * q * 4, f"the rank-1 sweep table at q = {q}")
+    t = ff.tables(ctx)
     a0, a1, a2 = [g.ravel().astype(np.int32) for g in
                   np.meshgrid(np.arange(1, q), np.arange(q), np.arange(q), indexing="ij")]
     tablesv = ff.chain_value_tables(t, [a0, a1, a2])
@@ -655,8 +656,9 @@ def sweep_rank2(ctx: FieldCtx, verify_rank_upto: int | None = None) -> Rank2Swee
     """
     if ctx.p == 2:
         raise EvenCharacteristic("rank-2 sweep checks an odd-p theorem")
-    t = ff.tables(ctx)
     q = ctx.q
+    ff.check_bytes(q * (q - 1) * q * 4, f"the rank-2 sweep table at q = {q}")
+    t = ff.tables(ctx)
     a1, a2 = [g.ravel().astype(np.int32) for g in
               np.meshgrid(np.arange(q), np.arange(1, q), indexing="ij")]
     m = len(a1)

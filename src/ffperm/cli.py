@@ -27,10 +27,10 @@ EXIT_USAGE = 2
 
 
 def _field_from_args(args) -> FieldCtx:
-    if getattr(args, "field", None):
+    if args.field:
         return parse_field_spec(args.field)
-    if getattr(args, "p", None):
-        return make_field(args.p, getattr(args, "n", None) or 1)
+    if args.p:
+        return make_field(args.p, 1 if args.n is None else args.n)
     raise SystemExit2("a field is required (--field or --p [--n])")
 
 
@@ -39,20 +39,36 @@ class SystemExit2(Exception):
 
 
 def _parse_chain(ctx: FieldCtx, text: str) -> cz.Chain:
-    parts = [s.strip() for s in text.split(",")]
-    return cz.Chain(ctx, tuple(ctx.from_int(int(s)) for s in parts))
+    try:
+        ints = [int(s) for s in text.split(",")]
+    except ValueError as exc:
+        raise SystemExit2(f"bad chain {text!r}, expected integers a0,a1,...") from exc
+    return cz.Chain(ctx, tuple(ctx.from_int(v) for v in ints))
 
 
 def _load_poly(args, ctx: FieldCtx | None = None) -> Poly:
     text = args.poly
-    if not text.lstrip().startswith("{"):
-        with open(text) as fh:
-            text = fh.read()
-    return poly_from_json(text, ctx)
+    try:
+        if not text.lstrip().startswith("{"):
+            with open(text) as fh:
+                text = fh.read()
+        return poly_from_json(text, ctx)
+    except OSError as exc:
+        raise SystemExit2(f"cannot read --poly: {exc}") from exc
+    except (ValueError, KeyError, TypeError) as exc:
+        raise SystemExit2(f"bad polynomial JSON: {exc}") from exc
 
 
-def _emit(args, obj) -> None:
+def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
+
+
+def _emit_sweep_row(args, row: dict) -> None:
+    if args.format == "csv":
+        print(",".join(row))
+        print(",".join(str(v) for v in row.values()))
+    else:
+        _emit(row)
 
 
 def _fe_repr(v):
@@ -65,7 +81,7 @@ def _fe_repr(v):
 def cmd_field_info(args) -> int:
     ctx = _field_from_args(args)
     g = primitive_element(ctx)
-    _emit(args, {
+    _emit({
         "field": format_field_spec(ctx),
         "p": ctx.p, "n": ctx.n, "q": ctx.q,
         "modulus": list(ctx.modulus) if ctx.n > 1 else None,
@@ -90,8 +106,8 @@ def cmd_rank2_coeffs(args) -> int:
     f = cz.rank2_coeffs(*ch.a)
     expanded = cz.expand_chain(ch)
     if f != expanded:
-        _emit(args, {"error": "closed form disagrees with expansion",
-                     "chain": args.chain})
+        _emit({"error": "closed form disagrees with expansion",
+               "chain": args.chain})
         return EXIT_VERIFY
     print(poly_to_json(f))
     return EXIT_OK
@@ -104,22 +120,22 @@ def cmd_rank(args) -> int:
     out = {"rank": rep.label}
     if rep.witness is not None:
         out["witness_chain"] = [_fe_repr(a) for a in rep.witness.a]
-    _emit(args, out)
+    _emit(out)
     return EXIT_OK
 
 
 def cmd_weight(args) -> int:
     ctx = _field_from_args(args) if (args.field or args.p) else None
     f = _load_poly(args, ctx)
-    _emit(args, {"weight": weight(f), "degree": degree(f),
-                 "permutation": is_permutation(f)})
+    _emit({"weight": weight(f), "degree": degree(f),
+           "permutation": is_permutation(f)})
     return EXIT_OK
 
 
 def cmd_nu_p(args) -> int:
     row = ct.nu_p(args.p)
-    _emit(args, {"p": row.p, "nu": row.nu, "argmax": list(row.argmax),
-                 "bound": float(row.bound), "ratio_log": row.ratio_log})
+    _emit({"p": row.p, "nu": row.nu, "argmax": list(row.argmax),
+           "bound": float(row.bound), "ratio_log": row.ratio_log})
     return EXIT_OK
 
 
@@ -130,9 +146,9 @@ def cmd_scan_nu(args) -> int:
         sys.stdout.write(ct.nu_rows_csv(rows))
     else:
         for r in rows:
-            _emit(args, {"p": r.p, "nu": r.nu, "argmax": list(r.argmax),
-                         "bound": float(r.bound), "ratio_log": r.ratio_log})
-    _emit(args, {"summary": summary})
+            _emit({"p": r.p, "nu": r.nu, "argmax": list(r.argmax),
+                   "bound": float(r.bound), "ratio_log": r.ratio_log})
+    _emit({"summary": summary})
     ok = all(r.nu <= r.bound for r in rows)
     return EXIT_OK if ok else EXIT_VERIFY
 
@@ -147,14 +163,14 @@ def cmd_count_window(args) -> int:
         bound = ct.lemma_window_bound(args.M)
         out["bound"] = float(bound)
         out["within_bound"] = bool(count <= bound)
-    _emit(args, out)
+    _emit(out)
     return EXIT_OK
 
 
 def cmd_count_full(args) -> int:
     ctx = _field_from_args(args)
     count = ct.count_full(ctx, ctx.from_int(args.gamma))
-    _emit(args, {"q": ctx.q, "gamma": args.gamma, "count": count})
+    _emit({"q": ctx.q, "gamma": args.gamma, "count": count})
     return EXIT_OK
 
 
@@ -163,9 +179,9 @@ def cmd_bounds(args) -> int:
     nu = ct.nu_p(ctx.p).nu
     thm = cz.thm_rank2_bound(ctx)
     cor = cz.cor_rank2_bound(ctx, nu)
-    _emit(args, {"q": ctx.q, "nu_p": nu,
-                 "rank2_weight_bound": float(thm),
-                 "rank2_weight_bound_sharp": cor})
+    _emit({"q": ctx.q, "nu_p": nu,
+           "rank2_weight_bound": float(thm),
+           "rank2_weight_bound_sharp": cor})
     return EXIT_OK
 
 
@@ -176,13 +192,7 @@ def cmd_sweep_rank1(args) -> int:
     mism = len(sw.mismatches)
     row = {"q": q, "p": p, "case": "rank1", "min_weight": sw.min_weight,
            "bound_thm33": "", "bound_cor35": "", "violations": mism}
-    if args.format == "csv":
-        print("q,p,case,min_weight,bound_thm33,bound_cor35,violations")
-        print(",".join(str(row[k]) for k in
-                       ("q", "p", "case", "min_weight", "bound_thm33",
-                        "bound_cor35", "violations")))
-    else:
-        _emit(args, row)
+    _emit_sweep_row(args, row)
     return EXIT_OK if mism == 0 else EXIT_VERIFY
 
 
@@ -199,13 +209,7 @@ def cmd_sweep_rank2(args) -> int:
     row = {"q": q, "p": p, "case": "rank2", "min_weight": sw.min_weight,
            "bound_thm33": round(float(thm), 6), "bound_cor35": cor,
            "violations": viol}
-    if args.format == "csv":
-        print("q,p,case,min_weight,bound_thm33,bound_cor35,violations")
-        print(",".join(str(row[k]) for k in
-                       ("q", "p", "case", "min_weight", "bound_thm33",
-                        "bound_cor35", "violations")))
-    else:
-        _emit(args, row)
+    _emit_sweep_row(args, row)
     return EXIT_OK if viol == 0 else EXIT_VERIFY
 
 
@@ -213,16 +217,15 @@ def cmd_blahut(args) -> int:
     ctx = _field_from_args(args) if (args.field or args.p) else None
     f = _load_poly(args, ctx)
     lc, fw, eq = lco.blahut_check(f, fold=not args.no_fold, cap=args.cap)
-    _emit(args, {"linear_complexity": lc, "folded_weight": fw, "equal": eq})
+    _emit({"linear_complexity": lc, "folded_weight": fw, "equal": eq})
     return EXIT_OK if eq else EXIT_VERIFY
 
 
 def cmd_example_f11(args) -> int:
-    n = args.n or 1
-    f = cz.example_fn(n)
-    _emit(args, {"q": 11 ** n, "weight": weight(f),
-                 "permutation": is_permutation(f),
-                 "sharp_bound": cz.cor_rank2_bound(f.ctx, ct.nu_p(11).nu)})
+    f = cz.example_fn(1 if args.n is None else args.n)
+    _emit({"q": f.ctx.q, "weight": weight(f),
+           "permutation": is_permutation(f),
+           "sharp_bound": cz.cor_rank2_bound(f.ctx, ct.nu_p(11).nu)})
     if args.show_poly:
         print(poly_to_json(f))
     return EXIT_OK
@@ -235,8 +238,8 @@ def cmd_selftest(args) -> int:
     failed = [r for r in results if not r.passed]
     print(f"# {len(results) - len(failed)}/{len(results)} criteria passed")
     for r in failed:
-        _emit(args, {"criterion": r.number, "name": r.name,
-                     "counterexample": r.details})
+        _emit({"criterion": r.number, "name": r.name,
+               "counterexample": r.details})
     return EXIT_OK if not failed else EXIT_VERIFY
 
 
@@ -257,15 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "weights, bounds, and linear complexity.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, poly=False, chain=False):
-        sp.add_argument("--field", help="field spec p=<int>[,n=<int>][,mod=c0,c1,...,1]")
-        sp.add_argument("--p", type=int, help="characteristic (prime)")
-        sp.add_argument("--n", type=int, help="extension degree")
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="worker count (results are order-deterministic)")
-        sp.add_argument("--cap", type=int, default=cz.RANK_CAP_DEFAULT)
-        sp.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    def common(sp, field=True, poly=False, chain=False, fmt=False, cap=None):
+        if field:
+            sp.add_argument("--field", help="field spec p=<int>[,n=<int>][,mod=c0,c1,...,1]")
+            sp.add_argument("--p", type=int, help="characteristic (prime)")
+            sp.add_argument("--n", type=int, help="extension degree")
+        if fmt:
+            sp.add_argument("--format", choices=["json", "csv"], default="json")
+        if cap is not None:
+            sp.add_argument("--cap", type=int, default=cap, help="largest q accepted")
         if poly:
             sp.add_argument("--poly", required=True,
                             help="polynomial JSON (inline or a file path)")
@@ -278,11 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = common(sub.add_parser("expand", help="expand a chain to a reduced polynomial"), chain=True)
     sp.add_argument("--route", choices=["table", "power"], default="table")
     common(sub.add_parser("rank2-coeffs", help="closed-form coefficients of a length-2 chain"), chain=True)
-    common(sub.add_parser("rank", help="Carlitz rank classification up to 2"), poly=True)
+    common(sub.add_parser("rank", help="Carlitz rank classification up to 2"), poly=True,
+           cap=cz.RANK_CAP_DEFAULT)
     common(sub.add_parser("weight", help="weight/degree/permutation test"), poly=True)
-    sp = common(sub.add_parser("nu-p", help="nu_p with argmax and bound"))
-    sp.set_defaults(need_p=True)
-    sp = common(sub.add_parser("scan-nu", help="nu_p table over a prime range"))
+    sp = sub.add_parser("nu-p", help="nu_p with argmax and bound")
+    sp.add_argument("--p", type=int, required=True, help="odd prime")
+    sp = common(sub.add_parser("scan-nu", help="nu_p table over a prime range"),
+                field=False, fmt=True)
     sp.add_argument("--range", required=True, help="pmin:pmax")
     sp = common(sub.add_parser("count-window", help="window solution count"))
     sp.add_argument("--gamma", type=int, required=True)
@@ -293,14 +298,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp = common(sub.add_parser("count-full", help="full-range solution count"))
     sp.add_argument("--gamma", type=int, required=True)
     common(sub.add_parser("bounds", help="rank-2 weight bounds for a field"))
-    common(sub.add_parser("sweep-rank1", help="exhaustive rank-1 weight sweep"))
-    common(sub.add_parser("sweep-rank2", help="exhaustive normalized rank-2 sweep"))
-    sp = common(sub.add_parser("blahut", help="linear complexity vs folded weight"), poly=True)
+    common(sub.add_parser("sweep-rank1", help="exhaustive rank-1 weight sweep"), fmt=True)
+    common(sub.add_parser("sweep-rank2", help="exhaustive normalized rank-2 sweep"), fmt=True)
+    sp = common(sub.add_parser("blahut", help="linear complexity vs folded weight"), poly=True,
+                cap=lco.BLAHUT_CAP)
     sp.add_argument("--no-fold", action="store_true",
                     help="compare against the raw weight instead")
-    sp = common(sub.add_parser("example-f11", help="the sharp family over F_(11^n)"))
+    sp = sub.add_parser("example-f11", help="the sharp family over F_(11^n)")
+    sp.add_argument("--n", type=int, help="extension degree (1 or 2)")
     sp.add_argument("--show-poly", action="store_true")
-    sp = common(sub.add_parser("selftest", help="run the full verification suite"))
+    sp = sub.add_parser("selftest", help="run the full verification suite")
+    sp.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     sp.add_argument("--nu-limit", type=int, default=verify.NU_SCAN_LIMIT,
                     help="upper end of the nu_p scan")
     return ap
@@ -331,10 +339,6 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if args.command == "nu-p" and not args.p:
-        ap.error_message = "nu-p requires --p"
-        print("nu-p requires --p", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return HANDLERS[args.command](args)
     except SystemExit2 as exc:
@@ -342,9 +346,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except FFPermError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (BadRange, CompositeP, EvenCharacteristic, GammaOne,
                      NonCoprimePeriods, ZeroC)
-from .gf import Fe, FieldCtx, is_prime, make_field
+from .gf import Fe, FieldCtx, factorize, is_prime, make_field
 from .surd import Surd, sqrt_plus
 
 __all__ = [
@@ -195,7 +195,8 @@ def _nu_fast(p: int) -> tuple[int, list[int]]:
     j = 1 give i0 in {0, p-1}, outside the range, so they never count).
     """
     n = p - 1
-    g = _primitive_root(p)
+    fac = factorize(n)  # least primitive root mod p
+    g = next(g for g in range(2, p) if all(pow(g, n // f, p) != 1 for f in fac))
     pow_g = np.ones(n, dtype=np.int32)
     if n > 1:
         pow_g[1] = g
@@ -230,24 +231,6 @@ def _nu_fast(p: int) -> tuple[int, list[int]]:
     nu = int(counts.max())
     arg = np.nonzero(counts == nu)[0].tolist() if nu > 0 else []
     return nu, arg
-
-
-def _primitive_root(p: int) -> int:
-    n = p - 1
-    fac = []
-    m, d = n, 2
-    while d * d <= m:
-        if m % d == 0:
-            fac.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        fac.append(m)
-    for g in range(2, p):
-        if all(pow(g, n // f, p) != 1 for f in fac):
-            return g
-    raise ValueError(f"no primitive root mod {p}")  # unreachable for prime p
 
 
 def nu_p(p: int) -> NuRow:

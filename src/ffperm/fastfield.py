@@ -16,6 +16,14 @@ from .errors import FieldTooLarge
 from .gf import FieldCtx, primitive_element
 
 TABLE_CAP = 4096  # largest q for which index tables are built
+BYTES_CAP = 1 << 28  # largest (q*n)^2 matrix or sweep value table, in bytes
+
+
+def check_bytes(nbytes: int, what: str) -> None:
+    """Raise FieldTooLarge before an allocation of more than BYTES_CAP."""
+    if nbytes > BYTES_CAP:
+        raise FieldTooLarge(f"{what} needs {nbytes / 2**20:.0f} MiB, "
+                            f"over the {BYTES_CAP >> 20} MiB cap")
 
 
 class FieldTables:
@@ -68,16 +76,6 @@ class FieldTables:
         self._eval_matrix = None
         self._interp_matrix = None
 
-    # -- conversions -------------------------------------------------------
-    def index(self, a) -> int:
-        return self.ctx.index_of(a)
-
-    def element(self, idx: int):
-        return self.ctx.el_at(int(idx))
-
-    def sub(self, x, y):
-        return self.add[x, self.neg[y]]
-
     # -- powers with the 0**0 = 1 convention -------------------------------
     def pow_scalar_exp(self, base: np.ndarray, k: int) -> np.ndarray:
         """base^k elementwise for one integer exponent k >= 0."""
@@ -104,6 +102,21 @@ class FieldTables:
         return out
 
     # -- linear maps over F_p ---------------------------------------------
+    def _linear_matrix(self, W: np.ndarray) -> np.ndarray:
+        """(q*n, q*n) float64 matrix of v -> (sum_c W[r, c] * v_c)_r over F_p.
+
+        W is a (q, q) array of element indices.  Component k' of
+        W[r, c] * e_k sits at row r*n + k', column c*n + k.
+        """
+        q, n = self.q, self.n
+        check_bytes((q * n) ** 2 * 8, f"a (q*n)^2 matrix at q = {q}")
+        M = np.empty((q * n, q * n), dtype=np.float64)
+        for k in range(n):
+            basis_idx = int(self.place[k])  # index of the k-th basis element
+            comps = self.elems[self.mul[W, basis_idx]]  # (q, q, n)
+            M[:, k::n] = comps.transpose(0, 2, 1).reshape(q * n, q)
+        return M
+
     def eval_matrix(self) -> np.ndarray:
         """(q*n, q*n) float64 matrix of evaluation as an F_p-linear map.
 
@@ -112,21 +125,30 @@ class FieldTables:
         at a*n + k.
         """
         if self._eval_matrix is None:
-            q, n = self.q, self.n
-            pw = self.pow_outer(np.arange(q, dtype=np.int32), np.arange(q))  # a^i
-            M = np.empty((q * n, q * n), dtype=np.float64)
-            for k in range(n):
-                basis_idx = int(self.place[k])  # index of the k-th basis element
-                prod = self.mul[pw, basis_idx]          # (q, q) index of a^i * e_k
-                comps = self.elems[prod]                # (q, q, n)
-                M[:, k::n] = comps.transpose(0, 2, 1).reshape(q * n, q)
-            self._eval_matrix = M
+            pts = np.arange(self.q, dtype=np.int32)
+            self._eval_matrix = self._linear_matrix(self.pow_outer(pts, pts))  # a^i
         return self._eval_matrix
 
     def interp_matrix(self) -> np.ndarray:
+        """(q*n, q*n) float64 matrix of interpolation, the inverse of eval_matrix.
+
+        For reduced f = sum_i c_i x^i the coefficients are
+            c_0 = f(0),
+            c_k = -sum_{x != 0} f(x) x^(-k)    (1 <= k <= q-2),
+            c_{q-1} = -sum_x f(x),
+        from the power sums sum_{x in F_q^*} x^m = -[(q-1) | m]: for
+        1 <= k <= q-2 only i = k has (q-1) | (i - k), and
+        sum_x f(x) = c_0 - c_0 - c_{q-1} since i = 0 and i = q-1 qualify.
+        """
         if self._interp_matrix is None:
-            M = self.eval_matrix().astype(np.int64) % self.p
-            self._interp_matrix = _matinv_mod(M, self.p).astype(np.float64)
+            q = self.q
+            pts = np.arange(q, dtype=np.int32)
+            W = np.zeros((q, q), dtype=np.int32)
+            W[0, 0] = self.emb[1]
+            # row k: -x^(q-1-k) = -x^(-k) for x != 0, and 0 at x = 0
+            W[1:q - 1] = self.neg[self.pow_outer(pts, np.arange(q - 2, 0, -1))].T
+            W[q - 1] = self.neg[self.emb[1]]
+            self._interp_matrix = self._linear_matrix(W)
         return self._interp_matrix
 
     def _apply_linear(self, rows_idx: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -150,28 +172,6 @@ class FieldTables:
     def batch_interp(self, table_rows: np.ndarray) -> np.ndarray:
         """Reduced coefficients of value-table rows (indices in, indices out)."""
         return self._apply_linear(table_rows, self.interp_matrix())
-
-
-def _matinv_mod(M: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a square matrix over F_p by Gauss-Jordan elimination."""
-    m = len(M)
-    A = M % p
-    I = np.eye(m, dtype=np.int64)
-    for col in range(m):
-        piv = col + int(np.nonzero(A[col:, col])[0][0])
-        if piv != col:
-            A[[col, piv]] = A[[piv, col]]
-            I[[col, piv]] = I[[piv, col]]
-        inv = pow(int(A[col, col]), p - 2, p)
-        A[col] = A[col] * inv % p
-        I[col] = I[col] * inv % p
-        mask = np.nonzero(A[:, col])[0]
-        mask = mask[mask != col]
-        if len(mask):
-            f = A[mask, col][:, None]
-            A[mask] = (A[mask] - f * A[col]) % p
-            I[mask] = (I[mask] - f * I[col]) % p
-    return I
 
 
 def tables(ctx: FieldCtx) -> FieldTables:

@@ -112,6 +112,13 @@ def test_blahut(capsys):
     assert json.loads(out)["equal"] is True
 
 
+def test_blahut_default_cap_is_lincomp_cap(capsys):
+    code, out = run(capsys, "blahut", "--poly", '{"field": "p=367", "coeffs": [0, 1]}')
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["linear_complexity"], obj["folded_weight"], obj["equal"]) == (1, 1, True)
+
+
 def test_example_f11(capsys):
     code, out = run(capsys, "example-f11")
     assert code == 0
@@ -132,3 +139,15 @@ def test_usage_errors_exit_2(capsys):
     assert main(["no-such-command"]) == 2
     assert main(["count-full", "--p", "5", "--gamma", "1"]) == 2
     assert main(["scan-nu", "--range", "oops"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "--poly", "{bad"],
+    ["expand", "--p", "5", "--chain=a,b"],
+    ["weight", "--poly", '{"field":"p=3","coeffs":[1,2,0,1]}'],
+    ["field-info", "--p", "5", "--n", "0"],
+    ["example-f11", "--n", "0"],
+])
+def test_malformed_input_exits_2_without_traceback(capsys, argv):
+    assert main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -8,7 +8,7 @@ from ffperm.errors import FieldTooLarge
 from ffperm.gf import inv0, make_field
 from ffperm.polyring import Poly, eval_table, interpolate, ValueTable
 
-FIELDS = [(5, 1), (3, 2), (5, 2), (11, 1), (2, 3)]
+FIELDS = [(2, 1), (5, 1), (3, 2), (5, 2), (11, 1), (2, 3)]
 
 
 @pytest.mark.parametrize("p,n", FIELDS)
@@ -49,8 +49,16 @@ def test_batch_eval_matches_scalar(p, n):
         f = Poly(ctx, tuple(ctx.el_at(int(i)) for i in rows[r]))
         expect = [ctx.index_of(v) for v in eval_table(f).values]
         assert tabs[r].tolist() == expect
-    # interpolation inverts evaluation row-wise
+    # interpolation inverts evaluation on the whole space
+    prod = (t.interp_matrix() @ t.eval_matrix()) % p
+    assert (prod == np.eye(q * n)).all()
     assert (t.batch_interp(tabs) == rows).all()
+    # and agrees with scalar Lagrange interpolation on arbitrary tables
+    vals = rng.integers(0, q, size=(8, q)).astype(np.int32)
+    coeffs = t.batch_interp(vals)
+    for r in range(len(vals)):
+        f = interpolate(ValueTable(ctx, tuple(ctx.el_at(int(i)) for i in vals[r])))
+        assert coeffs[r].tolist() == [ctx.index_of(c) for c in f.coeffs]
 
 
 def test_chain_value_tables_match_scalar():
@@ -93,3 +101,14 @@ def test_weight_and_degree_rows():
 def test_table_cap_enforced():
     with pytest.raises(FieldTooLarge):
         ff.FieldTables(make_field(4099))
+
+
+def test_matrix_byte_cap_enforced():
+    with pytest.raises(FieldTooLarge):
+        ff.tables(make_field(2, 10)).interp_matrix()  # 10240^2 float64: 800 MiB
+
+
+def test_sweep_byte_cap_enforced():
+    from ffperm.carlitz import sweep_rank1
+    with pytest.raises(FieldTooLarge):
+        sweep_rank1(make_field(17, 2))  # 288 * 289^2 rows of 289 int32: 26 GiB
