@@ -22,16 +22,16 @@ from .errors import (BadChain, BadParam, BadRange, EvenCharacteristic,
                      FieldTooLarge, NotPermutation)
 from .gf import Fe, FieldCtx, format_field_spec, inv0, make_field, parse_field_spec
 from .polyring import (Poly, ValueTable, _pow_reduce, degree, eval_table,
-                       evaluate, interpolate, is_permutation, reduce_mod_xq_x,
-                       weight)
+                       interpolate, reduce_mod_xq_x, weight)
 from .surd import Surd
 
 __all__ = [
     "Chain", "MobiusMap", "PoleSet", "RankReport", "INFINITY",
     "expand_chain", "convergents", "agreement_check", "rank2_coeffs",
     "rank2_piecewise_eval", "rank1_weight", "rank1_weight_class",
-    "rank_upto2", "thm_rank2_bound", "cor_rank2_bound", "got_bounds",
-    "degree_rank_check", "example_fn", "sweep_rank1", "sweep_rank2",
+    "rank_upto2", "rank_enumerate", "thm_rank2_bound", "cor_rank2_bound",
+    "got_bounds", "degree_rank_check", "example_fn", "sweep_rank1",
+    "sweep_rank2",
 ]
 
 RANK_CAP_DEFAULT = 343
@@ -296,87 +296,50 @@ def rank1_weight(a0: Fe, a1: Fe, a2: Fe) -> tuple[Poly, int]:
 # ---------------------------------------------------------------------------
 # rank detection up to 2
 
+def _reproduces(ch: Chain, table: ValueTable) -> bool:
+    """Whether the chain takes the table's values, stopping at the first miss."""
+    ctx = ch.ctx
+    return all(_chain_value(ch, ctx.el_at(i)) == v for i, v in enumerate(table.values))
+
+
+def _permutation_table(f: Poly) -> ValueTable:
+    table = eval_table(f)
+    if len(set(table.values)) != f.ctx.q:
+        raise NotPermutation("rank is defined for permutation polynomials only")
+    return table
+
+
 def _linear_witness(table: ValueTable) -> Chain | None:
     ctx = table.ctx
     b = table.values[0]  # f(0); enumeration index 0 is the zero element
-    one_idx = ctx.index_of(ctx.one())
-    a = table.values[one_idx] - b
+    a = table.values[ctx.index_of(ctx.one())] - b
     if not a:
         return None
-    for i in range(ctx.q):
-        if table.values[i] != a * ctx.el_at(i) + b:
-            return None
-    return Chain(ctx, (a, b))
+    ch = Chain(ctx, (a, b))
+    return ch if _reproduces(ch, table) else None
 
 
-def _mobius_through(ctx: FieldCtx, pts: list[tuple[Fe, Fe]]):
-    """All Mobius maps (as 4-tuples, det != 0) through three graph points.
+def _mobius_through(pts: list[tuple[Fe, Fe]]) -> tuple[Fe, Fe, Fe, Fe]:
+    """The Mobius map (A, B, C, D) through three points (distinct x, distinct y).
 
-    Solves the homogeneous system y_i (C x_i + D) = A x_i + B.  Returns
-    the nullspace solutions (the whole pencil when the system is
-    degenerate), so a map through the points is never missed.
+    S_x = [[x3-x2, -x1(x3-x2)], [x3-x1, -x2(x3-x1)]] sends x1, x2, x3 to
+    0, INFINITY, 1; S_y does the same for the y values, so adj(S_y) S_x
+    sends each x_i to y_i.
     """
-    rows = [[x, ctx.one(), -(y * x), -y] for x, y in pts]  # unknowns (A, B, C, D)
-    # Gaussian elimination to reduced row echelon form
-    ncols = 4
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for rr in range(r, len(rows)):
-            if rows[rr][c]:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = inv0(rows[r][c])
-        rows[r] = [inv * v for v in rows[r]]
-        for rr in range(len(rows)):
-            if rr != r and rows[rr][c]:
-                f = rows[rr][c]
-                rows[rr] = [v - f * w for v, w in zip(rows[rr], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    zero, one = ctx.zero(), ctx.one()
-
-    def back_substitute(assign):
-        sol = [zero] * ncols
-        for c, v in zip(free, assign):
-            sol[c] = v
-        for rr in range(len(pivots) - 1, -1, -1):
-            c = pivots[rr]
-            acc = zero
-            for cc in range(c + 1, ncols):
-                acc = acc + rows[rr][cc] * sol[cc]
-            sol[c] = -acc
-        return tuple(sol)
-
-    sols = []
-    if len(free) == 1:
-        sols.append(back_substitute([one]))
-    elif len(free) == 2:
-        # scan the projective pencil of solutions
-        sols.append(back_substitute([zero, one]))
-        for i in range(ctx.q):
-            sols.append(back_substitute([one, ctx.el_at(i)]))
-    elif len(free) >= 3:
-        return None  # degenerate beyond use; caller falls back
-    out = []
-    for A, B, C, D in sols:
-        if (A or B) and (C or D) and (A * D - B * C):
-            out.append((A, B, C, D))
-    return out
+    (x1, y1), (x2, y2), (x3, y3) = pts
+    a, b, c, d = x3 - x2, -x1 * (x3 - x2), x3 - x1, -x2 * (x3 - x1)
+    e, f, g, h = y3 - y2, -y1 * (y3 - y2), y3 - y1, -y2 * (y3 - y1)
+    # adj(S_y) = [[h, -f], [-g, e]]
+    return h * a - f * c, h * b - f * d, e * c - g * a, e * d - g * b
 
 
-def _tables_equal(t1: ValueTable, t2: ValueTable) -> bool:
-    return t1.values == t2.values
+def _normalize_mobius(m):
+    iv = inv0(next(v for v in m if v))
+    return tuple((iv * w).coeffs for w in m)
 
 
-def _try_rank1(ctx, A, B, C, D, table) -> Chain | None:
+def _try_rank1(m, table: ValueTable) -> Chain | None:
+    A, B, C, D = m
     if not C:
         return None
     b2 = A * inv0(C)
@@ -384,21 +347,16 @@ def _try_rank1(ctx, A, B, C, D, table) -> Chain | None:
     if not lam:
         return None
     ilam = inv0(lam)
-    b0 = C * ilam
-    b1 = D * ilam
-    if not b0:
-        return None
-    ch = Chain(ctx, (b0, b1, b2))
-    if _tables_equal(eval_table(expand_chain(ch)), table):
-        return ch
-    return None
+    ch = Chain(table.ctx, (C * ilam, D * ilam, b2))
+    return ch if _reproduces(ch, table) else None
 
 
-def _try_rank2(ctx, A, B, C, D, table) -> Chain | None:
+def _try_rank2(m, table: ValueTable) -> Chain | None:
+    A, B, C, D = m
     if not C:
         return None
-    x2 = -D * inv0(C)
-    a3 = table.values[ctx.index_of(x2)]
+    ctx = table.ctx
+    a3 = table.values[ctx.index_of(-D * inv0(C))]  # the value at the convergent's pole
     num = C * a3 - A
     if not num:
         return None
@@ -406,20 +364,17 @@ def _try_rank2(ctx, A, B, C, D, table) -> Chain | None:
     if not den:
         return None
     mu = num * inv0(den)
-    a0 = -mu * num
-    a2 = -C * inv0(num)
-    a1 = mu * (B - D * a3)
-    if not a0 or not a2:
-        return None
-    ch = Chain(ctx, (a0, a1, a2, a3))
-    if _tables_equal(eval_table(expand_chain(ch)), table):
-        return ch
-    return None
+    ch = Chain(ctx, (-mu * num, mu * (B - D * a3), -C * inv0(num), a3))
+    return ch if _reproduces(ch, table) else None
 
 
-def _rank_enumerate(f: Poly, table: ValueTable) -> RankReport:
-    """Exhaustive chain enumeration (complete by definition of the rank)."""
+def rank_enumerate(f: Poly) -> RankReport:
+    """Exhaustive chain enumeration (complete by definition of the rank).
+
+    The O(q^5) oracle that the tests hold rank_upto2 to; small q only.
+    """
     ctx = f.ctx
+    table = _permutation_table(f)
     lin = _linear_witness(table)
     if lin is not None:
         return RankReport(0, lin)
@@ -446,69 +401,38 @@ def _rank_enumerate(f: Poly, table: ValueTable) -> RankReport:
     return RankReport(MORE_THAN_2)
 
 
-def rank_upto2(f: Poly, cap: int = RANK_CAP_DEFAULT, method: str = "auto") -> RankReport:
+def rank_upto2(f: Poly, cap: int = RANK_CAP_DEFAULT) -> RankReport:
     """Carlitz-rank classification into {0, 1, 2, more-than-2} with witness.
 
-    method="auto" uses the Mobius prefilter: a rank <= 2 permutation
-    agrees with its convergent off at most 2 points, so among 7 sample
-    points at least 5 lie on that Mobius map and some sampled triple
-    recovers it exactly.  Chain parameters are then reconstructed from
-    the candidate map and verified against the full value table, which
-    keeps the search sound.  method="enumerate" is the brute-force
-    reference; "auto" falls back to it if the fit ever degenerates.
+    A rank <= 2 permutation agrees with its convergent Mobius map off at
+    most 2 points, so among 7 sample points at least 5 lie on that map
+    and some sampled triple lies on it.  PGL_2(F_q) acts sharply
+    3-transitively on P^1(F_q), so each triple of graph points (distinct
+    x, and distinct y because f permutes) fixes exactly one Mobius map.
+    Chain parameters are reconstructed from each candidate map and
+    checked against the value table at every point, which keeps the
+    search sound; rank_enumerate is the exhaustive oracle.
     """
     ctx = f.ctx
     if ctx.q > cap:
         raise FieldTooLarge(f"q = {ctx.q} exceeds cap {cap}")
-    table = eval_table(f)
-    if len(set(table.values)) != ctx.q:
-        raise NotPermutation("rank is defined for permutation polynomials only")
-    if method == "enumerate":
-        return _rank_enumerate(f, table)
-
+    table = _permutation_table(f)
     lin = _linear_witness(table)
     if lin is not None:
         return RankReport(0, lin)
 
-    sample = [ctx.el_at(i) for i in range(min(ctx.q, 7))]
-    candidates = []
-    seen = set()
-    degenerate = False
+    sample = [(ctx.el_at(i), table.values[i]) for i in range(min(ctx.q, 7))]
+    # one map per trio; keys dedupe rescalings, in trio order
+    candidates = {}
     for trio in itertools.combinations(sample, 3):
-        pts = [(x, table.values[ctx.index_of(x)]) for x in trio]
-        sols = _mobius_through(ctx, pts)
-        if sols is None:
-            degenerate = True
-            continue
-        for sol in sols:
-            key = _normalize_mobius(sol)
-            if key not in seen:
-                seen.add(key)
-                candidates.append(sol)
-    best_rank1 = None
-    for A, B, C, D in candidates:
-        ch = _try_rank1(ctx, A, B, C, D, table)
-        if ch is not None:
-            best_rank1 = ch
-            break
-    if best_rank1 is not None:
-        return RankReport(1, best_rank1)
-    for A, B, C, D in candidates:
-        ch = _try_rank2(ctx, A, B, C, D, table)
-        if ch is not None:
-            return RankReport(2, ch)
-    if degenerate:
-        return _rank_enumerate(f, table)
+        m = _mobius_through(trio)
+        candidates.setdefault(_normalize_mobius(m), m)
+    for try_rank, rank in ((_try_rank1, 1), (_try_rank2, 2)):
+        for m in candidates.values():
+            ch = try_rank(m, table)
+            if ch is not None:
+                return RankReport(rank, ch)
     return RankReport(MORE_THAN_2)
-
-
-def _normalize_mobius(sol):
-    A, B, C, D = sol
-    for v in sol:
-        if v:
-            iv = inv0(v)
-            return tuple((iv * w).coeffs for w in sol)
-    return tuple(w.coeffs for w in sol)
 
 
 # ---------------------------------------------------------------------------
@@ -645,14 +569,14 @@ class Rank2Sweep:
         return int(self.weights[self.exact_rank2].min())
 
 
-def sweep_rank2(ctx: FieldCtx, verify_rank_upto: int | None = None) -> Rank2Sweep:
+def sweep_rank2(ctx: FieldCtx) -> Rank2Sweep:
     """Exhaustive sweep of normalized length-2 chains.
 
     A length-2 chain (a2 != 0) always has rank exactly 2 once q >= 7: the
     chain disagrees with its convergent at both poles, while a rank <= 1
     map would force the convergent to coincide with a Mobius map it can
-    disagree with at one point at most.  For q <= 5 (or when
-    verify_rank_upto says so) each row is re-checked with rank_upto2.
+    disagree with at one point at most.  For q <= 5 each row is
+    re-checked with rank_upto2.
     """
     if ctx.p == 2:
         raise EvenCharacteristic("rank-2 sweep checks an odd-p theorem")
@@ -686,8 +610,7 @@ def sweep_rank2(ctx: FieldCtx, verify_rank_upto: int | None = None) -> Rank2Swee
     gamma[case_c] = t.mul[eta[case_c], t.inv0[a1[case_c]]]
 
     exact = np.ones(m, dtype=bool)
-    limit = verify_rank_upto if verify_rank_upto is not None else (5 if q <= 5 else 0)
-    if q <= limit:
+    if q <= 5:
         for r in range(m):
             poly = Poly(ctx, tuple(ctx.el_at(int(i)) for i in coeffs[r]))
             exact[r] = rank_upto2(poly).rank_class == 2

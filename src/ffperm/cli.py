@@ -27,11 +27,22 @@ EXIT_USAGE = 2
 
 
 def _field_from_args(args) -> FieldCtx:
-    if args.field:
+    if args.field is not None:
+        if args.p is not None or args.n is not None:
+            raise SystemExit2("--field cannot be combined with --p or --n")
         return parse_field_spec(args.field)
-    if args.p:
+    if args.p is not None:
         return make_field(args.p, 1 if args.n is None else args.n)
+    if args.n is not None:
+        raise SystemExit2("--n needs --p")
     raise SystemExit2("a field is required (--field or --p [--n])")
+
+
+def _poly_field(args) -> FieldCtx | None:
+    """The field named by the field options, or None to take it from --poly."""
+    if args.field is None and args.p is None and args.n is None:
+        return None
+    return _field_from_args(args)
 
 
 class SystemExit2(Exception):
@@ -114,7 +125,7 @@ def cmd_rank2_coeffs(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    ctx = _field_from_args(args) if (args.field or args.p) else None
+    ctx = _poly_field(args)
     f = _load_poly(args, ctx)
     rep = cz.rank_upto2(f, cap=args.cap)
     out = {"rank": rep.label}
@@ -125,7 +136,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_weight(args) -> int:
-    ctx = _field_from_args(args) if (args.field or args.p) else None
+    ctx = _poly_field(args)
     f = _load_poly(args, ctx)
     _emit({"weight": weight(f), "degree": degree(f),
            "permutation": is_permutation(f)})
@@ -214,7 +225,7 @@ def cmd_sweep_rank2(args) -> int:
 
 
 def cmd_blahut(args) -> int:
-    ctx = _field_from_args(args) if (args.field or args.p) else None
+    ctx = _poly_field(args)
     f = _load_poly(args, ctx)
     lc, fw, eq = lco.blahut_check(f, fold=not args.no_fold, cap=args.cap)
     _emit({"linear_complexity": lc, "folded_weight": fw, "equal": eq})

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (BadRange, CompositeP, EvenCharacteristic, GammaOne,
-                     NonCoprimePeriods, ZeroC)
+from .errors import (BadRange, CompositeP, EvenCharacteristic, FieldTooLarge,
+                     GammaOne, NonCoprimePeriods, ZeroC)
 from .gf import Fe, FieldCtx, factorize, is_prime, make_field
 from .surd import Surd, sqrt_plus
 
@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 NU_FAST_THRESHOLD = 400  # below this the plain per-gamma pass is used
+NU_P_CAP = 1 << 15  # nu_p is O(p^2) time; the 10^4 scan and its benchmark band fit
 
 
 @dataclass(frozen=True)
@@ -233,8 +234,14 @@ def _nu_fast(p: int) -> tuple[int, list[int]]:
     return nu, arg
 
 
+def _check_nu_cap(p: int) -> None:
+    if p > NU_P_CAP:
+        raise FieldTooLarge(f"nu_p needs p <= {NU_P_CAP}, got {p}")
+
+
 def nu_p(p: int) -> NuRow:
     """max over gamma in F_p \\ {1} of count_full; includes gamma = 0."""
+    _check_nu_cap(p)
     _check_odd_prime(p)
     if p < NU_FAST_THRESHOLD:
         return nu_p_naive(p)
@@ -329,6 +336,7 @@ def conjecture_scan(p_min: int, p_max: int) -> tuple[list[NuRow], dict]:
     if p_min > p_max:
         return [], {"count": 0, "max_ratio": None, "argmax_p": None,
                     "all_bounded": True}
+    _check_nu_cap(p_max)
     rows = []
     for p in range(max(3, p_min), p_max + 1):
         if p % 2 and is_prime(p):

@@ -248,15 +248,6 @@ class FieldCtx:
             idx = idx * self.p + c
         return idx
 
-    def elements(self):
-        return (self.el_at(i) for i in range(self.q))
-
-    @property
-    def primitive(self) -> "Fe":
-        if self._primitive is None:
-            self._primitive = primitive_element(self)
-        return self._primitive
-
 
 class Fe:
     """Field element: immutable coefficient vector, value semantics."""
@@ -410,18 +401,21 @@ def parse_field_spec(spec: str) -> FieldCtx:
     mod = None
     tokens = spec.replace(" ", "").split(",")
     i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok.startswith("p="):
-            p = int(tok[2:])
-        elif tok.startswith("n="):
-            n = int(tok[2:])
-        elif tok.startswith("mod="):
-            mod = [int(tok[4:])] + [int(t) for t in tokens[i + 1:]]
-            break
-        else:
-            raise BadRange(f"unrecognized field-spec token {tok!r}")
-        i += 1
+    try:
+        while i < len(tokens):
+            tok = tokens[i]
+            if tok.startswith("p="):
+                p = int(tok[2:])
+            elif tok.startswith("n="):
+                n = int(tok[2:])
+            elif tok.startswith("mod="):
+                mod = [int(tok[4:])] + [int(t) for t in tokens[i + 1:]]
+                break
+            else:
+                raise BadRange(f"unrecognized field-spec token {tok!r}")
+            i += 1
+    except ValueError as exc:
+        raise BadRange(f"field spec {spec!r} has a non-integer value") from exc
     if p is None:
         raise BadRange(f"field spec {spec!r} is missing p=")
     if mod is not None and mod[-1] != 1:

@@ -56,9 +56,6 @@ class Poly:
             raise MixedFields("polynomials over different fields")
         return Poly(self.ctx, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def scale(self, s: Fe) -> "Poly":
-        return Poly(self.ctx, tuple(s * c for c in self.coeffs))
-
     def __repr__(self):
         terms = [f"{list(c.coeffs) if self.ctx.n > 1 else c.coeffs[0]}*x^{i}"
                  for i, c in enumerate(self.coeffs) if c]

@@ -141,7 +141,7 @@ def test_rank_detection_agrees_with_enumeration():
             a.append(random.randrange(ctx.q))
             f = cz.expand_chain(cz.Chain(ctx, tuple(ctx.el_at(v) for v in a)))
             fast = cz.rank_upto2(f)
-            slow = cz.rank_upto2(f, method="enumerate")
+            slow = cz.rank_enumerate(f)
             assert fast.rank_class == slow.rank_class
             if fast.witness is not None:
                 assert eval_table(cz.expand_chain(fast.witness)).values \
@@ -155,22 +155,41 @@ def test_rank_of_linear_and_inverse_maps():
     assert cz.rank_upto2(inv_map).rank_class == 1
 
 
+def test_mobius_through_fits_three_points():
+    random.seed(3)
+    for p, n in [(7, 1), (3, 2), (5, 2)]:
+        ctx = make_field(p, n)
+        for _ in range(30):
+            xs = [ctx.el_at(i) for i in random.sample(range(ctx.q), 3)]
+            ys = [ctx.el_at(i) for i in random.sample(range(ctx.q), 3)]
+            A, B, C, D = cz._mobius_through(list(zip(xs, ys)))
+            mob = cz.MobiusMap(ctx, (A, B), (C, D))
+            assert [mob(x) for x in xs] == ys
+
+
 def test_every_f5_permutation_has_rank_at_most_one():
-    """All 120 permutations of F_5 are Mobius maps off at most one point."""
-    ctx = make_field(5)
-    els = [ctx.el_at(i) for i in range(5)]
+    """All 120 permutations of F_5 are Mobius maps off at most one point;
+    on F_4 and F_5 the Mobius fit agrees with exhaustive enumeration."""
     from ffperm.polyring import ValueTable, interpolate
-    seen = set()
-    for perm in itertools.permutations(range(5)):
-        f = interpolate(ValueTable(ctx, tuple(els[v] for v in perm)))
-        seen.add(cz.rank_upto2(f).rank_class)
-    assert seen == {0, 1}
+    for p, n in [(2, 2), (5, 1)]:
+        ctx = make_field(p, n)
+        els = [ctx.el_at(i) for i in range(ctx.q)]
+        seen = set()
+        for perm in itertools.permutations(range(ctx.q)):
+            f = interpolate(ValueTable(ctx, tuple(els[v] for v in perm)))
+            rank = cz.rank_upto2(f).rank_class
+            assert rank == cz.rank_enumerate(f).rank_class
+            seen.add(rank)
+        if p == 5:
+            assert seen == {0, 1}
 
 
 def test_rank_requires_permutation():
     ctx = make_field(5)
     with pytest.raises(NotPermutation):
         cz.rank_upto2(Poly.from_coeffs(ctx, [0, 0, 1]))  # x^2
+    with pytest.raises(NotPermutation):
+        cz.rank_enumerate(Poly.from_coeffs(ctx, [0, 0, 1]))
 
 
 def test_rank_cap():

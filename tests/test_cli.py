@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffperm.cli import main
 
@@ -147,7 +151,70 @@ def test_usage_errors_exit_2(capsys):
     ["weight", "--poly", '{"field":"p=3","coeffs":[1,2,0,1]}'],
     ["field-info", "--p", "5", "--n", "0"],
     ["example-f11", "--n", "0"],
+    ["field-info", "--field", "p=5", "--p", "7", "--n", "3"],
+    ["field-info", "--field", "p=3,n=2", "--n", "5"],
+    ["field-info", "--n", "3"],
+    ["field-info", "--field", "p=x"],
+    ["rank", "--poly", '{"field":"p=5","coeffs":[0,1]}', "--n", "3"],
+    ["weight", "--poly", '{"field":"p=5","coeffs":[0,1]}', "--p", "0"],
+    ["bounds", "--p", "1000003"],
 ])
 def test_malformed_input_exits_2_without_traceback(capsys, argv):
     assert main(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+# small pools of valid and then broken values, so the draws reach both the
+# handlers' success paths and their error paths (valid first: hypothesis
+# favours the front of a pool)
+INTS = ["3", "1", "7", "0", "-1", "x"]
+VALUES = {
+    "--p": ["5", "11", "2", "9", "4", "1", "0", "-1", "x"],
+    "--n": ["2", "1", "3", "0", "-1", "z"],
+    "--field": ["p=5", "p=3,n=2", "p=2,n=3", "p=4", "p=x", "n=2", "p=3,n=2,mod=1,1,1", ""],
+    "--poly": ['{"field":"p=5","coeffs":[0,1,1,2]}', '{"field":"p=3,n=2","coeffs":[[0,1],[1]]}',
+               '{"field":"p=5","coeffs":[0,0,1]}', '{"field":"p=5","coeffs":[]}',
+               '{"field":"p=4","coeffs":[1]}', '{"coeffs":[1]}', "{bad", "no/such/file"],
+    "--chain": ["-1,1,4,0", "2,3,1,5", "1,1", "0,1", "1,2,0,3", "1", "a,b", ""],
+    "--gamma": INTS, "--c": INTS, "--d": INTS, "--L": INTS, "--M": INTS,
+}
+# ways to give the field, two of them conflicting
+FIELD = [("--field",), ("--p",), ("--p", "--n"), (), ("--field", "--p"), ("--n",)]
+COMMANDS = {  # subcommand: (its required options, its ways to give the field)
+    "field-info": ((), FIELD),
+    "expand": (("--chain",), FIELD),
+    "rank2-coeffs": (("--chain",), FIELD),
+    "rank": (("--poly",), FIELD),
+    "weight": (("--poly",), FIELD),
+    "nu-p": (("--p",), [()]),
+    "count-full": (("--gamma",), FIELD),
+    "count-window": (("--gamma", "--c", "--d", "--L", "--M"), FIELD),
+    "bounds": ((), FIELD),
+    "blahut": (("--poly",), FIELD),
+}
+JUNK = st.text(max_size=4)
+
+
+@st.composite
+def cli_argv(draw):
+    cmd = draw(st.sampled_from(sorted(COMMANDS)))
+    required, field = COMMANDS[cmd]
+    opts = required + draw(st.sampled_from(field))
+    argv = [cmd] + [f"{opt}={draw(st.sampled_from(VALUES[opt]))}" for opt in opts]
+    mess = draw(st.integers(0, 5))  # now and then a stray option or token
+    if mess == 4:
+        argv.append(f"{draw(st.sampled_from(sorted(VALUES)))}={draw(JUNK)}")
+    elif mess == 5:
+        argv.append(draw(JUNK))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+def test_cli_contract_on_random_argv(argv):
+    """Any argv exits 0, 1 or 2, and never with a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

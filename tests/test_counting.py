@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from ffperm import counting as ct
-from ffperm.errors import (BadRange, CompositeP, EvenCharacteristic, GammaOne,
-                           NonCoprimePeriods, ZeroC)
+from ffperm.errors import (BadRange, CompositeP, EvenCharacteristic, FieldTooLarge,
+                           GammaOne, NonCoprimePeriods, ZeroC)
 from ffperm.gf import make_field
 
 
@@ -103,6 +103,14 @@ def test_nu_p_errors():
         ct.nu_p(2)
     with pytest.raises(CompositeP):
         ct.nu_p(9)
+
+
+def test_nu_p_cap():
+    assert ct.NU_P_CAP >= 10 ** 4
+    with pytest.raises(FieldTooLarge):
+        ct.nu_p(32771)
+    with pytest.raises(FieldTooLarge):
+        ct.conjecture_scan(3, 40000)  # refused before the first prime
 
 
 def test_nu_fast_matches_naive_past_threshold():
