@@ -10,16 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import carlitz as cz
 from . import counting as ct
 from . import lincomp as lco
 from . import verify
-from .errors import FFPermError
+from .errors import FFPermError, FieldTooLarge
 from .gf import FieldCtx, format_field_spec, make_field, parse_field_spec, primitive_element
-from .polyring import (Poly, degree, eval_table, is_permutation, poly_from_json,
-                       poly_to_json, weight)
+from .polyring import Poly, degree, is_permutation, poly_from_json, poly_to_json, weight
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -49,11 +47,16 @@ class SystemExit2(Exception):
     """Usage error discovered after argparse."""
 
 
-def _parse_chain(ctx: FieldCtx, text: str) -> cz.Chain:
+def _chain_from_args(args) -> cz.Chain:
+    """--chain over the field options, refused above the rank cap as `rank`
+    is: `expand` and `rank2-coeffs` expand it by O(q^2) scalar work."""
+    ctx = _field_from_args(args)
+    if ctx.q > cz.RANK_CAP_DEFAULT:
+        raise FieldTooLarge(f"q = {ctx.q} exceeds cap {cz.RANK_CAP_DEFAULT}")
     try:
-        ints = [int(s) for s in text.split(",")]
+        ints = [int(s) for s in args.chain.split(",")]
     except ValueError as exc:
-        raise SystemExit2(f"bad chain {text!r}, expected integers a0,a1,...") from exc
+        raise SystemExit2(f"bad chain {args.chain!r}, expected integers a0,a1,...") from exc
     return cz.Chain(ctx, tuple(ctx.from_int(v) for v in ints))
 
 
@@ -102,16 +105,13 @@ def cmd_field_info(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    ctx = _field_from_args(args)
-    ch = _parse_chain(ctx, args.chain)
-    f = cz.expand_chain(ch, route=args.route)
+    f = cz.expand_chain(_chain_from_args(args), route=args.route)
     print(poly_to_json(f))
     return EXIT_OK
 
 
 def cmd_rank2_coeffs(args) -> int:
-    ctx = _field_from_args(args)
-    ch = _parse_chain(ctx, args.chain)
+    ch = _chain_from_args(args)
     if ch.n != 2:
         raise SystemExit2("rank2-coeffs needs a chain a0,a1,a2,a3")
     f = cz.rank2_coeffs(*ch.a)

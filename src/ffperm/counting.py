@@ -10,7 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -27,8 +28,8 @@ __all__ = [
     "window_bound_scan",
 ]
 
-NU_FAST_THRESHOLD = 400  # below this the plain per-gamma pass is used
 NU_P_CAP = 1 << 15  # nu_p is O(p^2) time; the 10^4 scan and its benchmark band fit
+_NU_BLOCK = 1 << 15  # kernel elements per int32 block, so the temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,6 @@ def count_exp_linear(qr: CountQuery) -> int:
         return count
     pw = _power_at(gamma, qr.L + 1)
     emb = ctx.from_int(qr.L % ctx.p)
-    one = ctx.one()
     rhs = c * emb + d
     for _ in range(qr.M + 1):
         if pw == rhs:
@@ -171,7 +171,7 @@ def _nu_row(p: int, nu: int, argmax: list[int]) -> NuRow:
 
 
 def nu_p_naive(p: int) -> NuRow:
-    """Per-gamma incremental passes; the oracle route for the fast scan."""
+    """Per-gamma incremental passes; the test oracle for `nu_p`."""
     _check_odd_prime(p)
     ctx = make_field(p)
     best, arg = 0, []
@@ -186,49 +186,44 @@ def nu_p_naive(p: int) -> NuRow:
     return _nu_row(p, best, arg)
 
 
-def _nu_fast(p: int) -> tuple[int, list[int]]:
-    """Vectorized nu_p grouping gamma by multiplicative order.
+def _nu_kernel(p: int) -> tuple[int, list[int]]:
+    """nu_p and its argmax list, one subgroup of F_p^* at a time.
 
-    For gamma of order l, gamma^(i+1) = i(1-gamma)+1 forces a residue
-    condition: writing i0 = (gamma^(j+1) - 1)/(1-gamma) for the value the
-    linear side must take, a solution with i = i0 exists in [1, p-2] iff
-    i0 mod l lands on j-1 (j runs over the exponent classes; j = 0 and
-    j = 1 give i0 in {0, p-1}, outside the range, so they never count).
+    A gamma of order l >= 3 is h^u, h = g^((p-1)/l) for the least primitive
+    root g, u a unit mod l.  With j = (i+1) mod l and k = u*j mod l,
+    gamma^(i+1) = h^k pins i to i0(k) = (h^k - 1)/(1 - gamma) in [0, p-1],
+    a solution iff i0(k) + 1 = j (mod l), i.e. iff u*(i0(k) + 1) = k (mod l).
+    k = u (j = 1, i0 = p-1) always matches but lies outside [1, p-2], so it
+    is subtracted; k = 0 never matches; gamma in {0, -1} keeps count 0.
+    Products stay below p^2 <= 2^30, so int32 is exact; x mod m is taken as
+    x - (x // m)*m: numpy divides by a scalar far faster than it reduces.
     """
     n = p - 1
-    fac = factorize(n)  # least primitive root mod p
+    fac = factorize(n)
     g = next(g for g in range(2, p) if all(pow(g, n // f, p) != 1 for f in fac))
-    pow_g = np.ones(n, dtype=np.int32)
-    if n > 1:
-        pow_g[1] = g
-        m = 2
-        while m < n:
-            k = min(m, n - m)
-            pow_g[m:m + k] = (pow_g[:k].astype(np.int64) * pow(g, m, p)) % p
-            m += k
-    dlog = np.empty(p, dtype=np.int64)
-    dlog[pow_g] = np.arange(n)
-    invs = pow_g[(n - dlog[1:]) % n].astype(np.int64)  # invs[x-1] = 1/x mod p
+    pow_g = np.ones(n, dtype=np.int32)  # pow_g[e] = g^e, by doubling
+    m = 1
+    while m < n:
+        pow_g[m:2 * m] = pow_g[:min(m, n - m)] * pow(g, m, p) % p
+        m *= 2
 
     counts = np.zeros(p, dtype=np.int64)
     for l in range(3, n + 1):
         if n % l:
             continue
-        step = n // l
-        us = np.nonzero(np.fromiter((math.gcd(u, l) == 1 for u in range(l)),
-                                    bool, l))[0]
-        es = (step * us).astype(np.int32)
-        gammas = pow_g[es].astype(np.int64)
-        w = invs[(1 - gammas) % p - 1].astype(np.int32)  # 1/(1-gamma)
-        J = np.arange(2, l, dtype=np.int32)
-        rows = max(1, 2_000_000 // max(1, l - 2))
-        for s in range(0, len(es), rows):
-            E = es[s:s + rows, None]
-            W = w[s:s + rows, None]
-            V = pow_g[(E * J) % np.int32(n)]       # gamma^j
-            I0 = (V * W - W) % np.int32(p)          # (gamma^j - 1)/(1-gamma)
-            sol = (I0 % np.int32(l)) == (J - 1)
-            counts[gammas[s:s + rows]] = np.count_nonzero(sol, axis=1)
+        hk = pow_g[::n // l]  # h^k, k in [0, l)
+        A, K = hk - 1, np.arange(l, dtype=np.int32)
+        us = np.flatnonzero(np.gcd(K, l) == 1).astype(np.int32)
+        gammas = hk[us]
+        ws = np.array([pow(1 - x, -1, p) for x in gammas.tolist()], dtype=np.int32)
+        rows = max(1, _NU_BLOCK // l)
+        for s in range(0, len(us), rows):
+            t = A * ws[s:s + rows, None]
+            t -= t // p * p
+            t += 1                          # i0(k) + 1
+            t *= us[s:s + rows, None]
+            t -= t // l * l                 # u*(i0(k) + 1) mod l
+            counts[gammas[s:s + rows]] = np.count_nonzero(t == K, axis=1) - 1
     nu = int(counts.max())
     arg = np.nonzero(counts == nu)[0].tolist() if nu > 0 else []
     return nu, arg
@@ -243,10 +238,7 @@ def nu_p(p: int) -> NuRow:
     """max over gamma in F_p \\ {1} of count_full; includes gamma = 0."""
     _check_nu_cap(p)
     _check_odd_prime(p)
-    if p < NU_FAST_THRESHOLD:
-        return nu_p_naive(p)
-    nu, arg = _nu_fast(p)
-    return _nu_row(p, nu, arg)
+    return _nu_row(p, *_nu_kernel(p))
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +324,23 @@ def window_bound_scan(p: int) -> dict[int, int]:
 
 
 def conjecture_scan(p_min: int, p_max: int) -> tuple[list[NuRow], dict]:
-    """NuRow per odd prime in [p_min, p_max], plus the growth-fit summary."""
+    """NuRow per odd prime in [p_min, p_max], plus the growth-fit summary.
+
+    The usable cores take the primes largest first; rows come back ascending.
+    """
     if p_min > p_max:
         return [], {"count": 0, "max_ratio": None, "argmax_p": None,
                     "all_bounded": True}
     _check_nu_cap(p_max)
-    rows = []
-    for p in range(max(3, p_min), p_max + 1):
-        if p % 2 and is_prime(p):
-            rows.append(nu_p(p))
+    primes = [p for p in range(max(3, p_min), p_max + 1) if p % 2 and is_prime(p)]
+    import multiprocessing  # here, so importing the CLI does not pay for it
+    workers = min(len(os.sched_getaffinity(0)), len(primes))
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        found = [_nu_kernel(p) for p in primes]
+    else:  # the task is private, so tracers that rebind public names leave it picklable
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            found = pool.map(_nu_kernel, primes[::-1], chunksize=1)[::-1]
+    rows = [_nu_row(p, *r) for p, r in zip(primes, found)]
     summary = {
         "count": len(rows),
         "max_ratio": max((r.ratio_log for r in rows), default=None),

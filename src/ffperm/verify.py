@@ -21,8 +21,8 @@ from . import counting as ct
 from . import fastfield as ff
 from . import lincomp as lco
 from .gf import is_prime, make_field
-from .polyring import Poly, is_permutation, weight
-from .surd import Surd, sqrt_plus
+from .polyring import is_permutation, weight
+from .surd import sqrt_plus
 
 __all__ = ["CheckResult", "run_check", "run_all", "CHECKS", "NU_SCAN_LIMIT"]
 

@@ -158,6 +158,8 @@ def test_usage_errors_exit_2(capsys):
     ["rank", "--poly", '{"field":"p=5","coeffs":[0,1]}', "--n", "3"],
     ["weight", "--poly", '{"field":"p=5","coeffs":[0,1]}', "--p", "0"],
     ["bounds", "--p", "1000003"],
+    ["expand", "--p", "11", "--n", "4", "--chain=2,3,1,5"],
+    ["rank2-coeffs", "--p", "11", "--n", "4", "--chain=2,3,1,5"],
 ])
 def test_malformed_input_exits_2_without_traceback(capsys, argv):
     assert main(argv) == 2

@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from ffperm import counting as ct
 from ffperm.errors import (BadRange, CompositeP, EvenCharacteristic, FieldTooLarge,
                            GammaOne, NonCoprimePeriods, ZeroC)
-from ffperm.gf import make_field
+from ffperm.gf import is_prime, make_field
 
 
 def query(ctx, gamma, c, d, L, M):
@@ -113,11 +114,22 @@ def test_nu_p_cap():
         ct.conjecture_scan(3, 40000)  # refused before the first prime
 
 
-def test_nu_fast_matches_naive_past_threshold():
-    for p in [401, 409, 521]:
+def test_nu_p_matches_naive():
+    small = [p for p in range(3, 400, 2) if is_prime(p)]
+    for p in small + [401, 409, 521, 1009]:
         fast = ct.nu_p(p)
         slow = ct.nu_p_naive(p)
         assert (fast.nu, fast.argmax) == (slow.nu, slow.argmax)
+
+
+def test_conjecture_scan_same_rows_on_one_and_two_cores(monkeypatch):
+    scans = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        scans.append(ct.conjecture_scan(3, 1200))
+    (serial, s_summary), (pooled, p_summary) = scans
+    assert pooled == serial and p_summary == s_summary
+    assert ct.nu_rows_csv(pooled) == ct.nu_rows_csv(serial)
 
 
 def test_crt_trivial_cases():
