@@ -26,12 +26,11 @@ from .polyring import (Poly, ValueTable, _pow_reduce, degree, eval_table,
 from .surd import Surd
 
 __all__ = [
-    "Chain", "MobiusMap", "PoleSet", "RankReport", "INFINITY",
-    "expand_chain", "convergents", "agreement_check", "rank2_coeffs",
-    "rank2_piecewise_eval", "rank1_weight", "rank1_weight_class",
-    "rank_upto2", "rank_enumerate", "thm_rank2_bound", "cor_rank2_bound",
-    "got_bounds", "degree_rank_check", "example_fn", "sweep_rank1",
-    "sweep_rank2",
+    "Chain", "MobiusMap", "PoleSet", "RankReport", "INFINITY", "expand_chain",
+    "expand_chain_by_powers", "convergents", "agreement_check", "rank2_coeffs",
+    "rank2_piecewise_eval", "rank1_weight", "rank1_weight_class", "rank_upto2",
+    "rank_enumerate", "thm_rank2_bound", "cor_rank2_bound", "got_bounds",
+    "degree_rank_check", "example_fn", "sweep_rank1", "sweep_rank2",
 ]
 
 RANK_CAP_DEFAULT = 343
@@ -158,25 +157,25 @@ def _chain_value(ch: Chain, x: Fe) -> Fe:
     return v
 
 
-def expand_chain(ch: Chain, route: str = "table") -> Poly:
+def expand_chain(ch: Chain) -> Poly:
     """Reduced polynomial of the chain; always a permutation polynomial.
 
-    route="table" evaluates with inv0 and interpolates; route="power"
-    repeatedly raises to q-2 with reduction mod x^q - x.  The two must
-    agree (checked in the tests); "table" is the default because the
-    power route costs O(q^2 log q).
+    Evaluates with inv0 at every point and interpolates.
     """
     ctx = ch.ctx
-    if route == "table":
-        vt = ValueTable(ctx, tuple(_chain_value(ch, ctx.el_at(i)) for i in range(ctx.q)))
-        return interpolate(vt)
-    if route == "power":
-        poly = reduce_mod_xq_x(ctx, [(1, ch.a[0]), (0, ch.a[1])])
-        for k in range(2, len(ch.a)):
-            poly = _pow_reduce(poly, ctx.q - 2)
-            poly = poly + Poly.from_coeffs(ctx, [ch.a[k]])
-        return poly
-    raise ValueError(f"unknown route {route!r}")
+    vt = ValueTable(ctx, tuple(_chain_value(ch, ctx.el_at(i)) for i in range(ctx.q)))
+    return interpolate(vt)
+
+
+def expand_chain_by_powers(ch: Chain) -> Poly:
+    """The test oracle for expand_chain: raises to q-2 repeatedly with
+    reduction mod x^q - x, O(q^2 log q)."""
+    ctx = ch.ctx
+    poly = reduce_mod_xq_x(ctx, [(1, ch.a[0]), (0, ch.a[1])])
+    for k in range(2, len(ch.a)):
+        poly = _pow_reduce(poly, ctx.q - 2)
+        poly = poly + Poly.from_coeffs(ctx, [ch.a[k]])
+    return poly
 
 
 def convergents(ch: Chain) -> tuple[MobiusMap, PoleSet]:
@@ -223,31 +222,17 @@ def rank2_coeffs(a0: Fe, a1: Fe, a2: Fe, a3: Fe) -> Poly:
 
     coeff_i = a2^-1 (-a0)^i [(a1 - i a2^-1)(a1 + a2^-1)^(q-2-i) - a1^(q-1-i)]
     for 1 <= i <= q-2, constant a3 + a2^-1 [a1 (a1+a2^-1)^(q-2) + 1 - a1^(q-1)],
-    under the 0^0 = 1 convention.
+    under the 0^0 = 1 convention.  This is the one row of
+    fastfield.rank2_coeff_rows; expand_chain is its oracle.
     """
     if not a0:
         raise BadParam("a0 must be nonzero")
     if not a2:
         raise BadParam("a2 must be nonzero")
     ctx = a0.ctx
-    q = ctx.q
-    inv_a2 = inv0(a2)
-    eta = a1 + inv_a2
-    neg_a0 = -a0
-    # forward power lists; index k holds base^k with base^0 = 1 always
-    pow_eta = [ctx.one()]
-    pow_a1 = [ctx.one()]
-    pow_neg = [ctx.one()]
-    for _ in range(q - 1):
-        pow_eta.append(pow_eta[-1] * eta)
-        pow_a1.append(pow_a1[-1] * a1)
-        pow_neg.append(pow_neg[-1] * neg_a0)
-    coeffs = [ctx.zero()] * q
-    coeffs[0] = a3 + inv_a2 * (a1 * pow_eta[q - 2] + ctx.one() - pow_a1[q - 1])
-    for i in range(1, q - 1):
-        bracket = (a1 - ctx.from_int(i) * inv_a2) * pow_eta[q - 2 - i] - pow_a1[q - 1 - i]
-        coeffs[i] = inv_a2 * pow_neg[i] * bracket
-    return Poly(ctx, tuple(coeffs))
+    cols = ([ctx.index_of(a)] for a in (a0, a1, a2, a3))
+    row = ff.rank2_coeff_rows(ff.tables(ctx), *cols)[0]
+    return Poly(ctx, tuple(ctx.el_at(int(i)) for i in row))
 
 
 def rank2_piecewise_eval(a1: Fe, a2: Fe, a3: Fe, x: Fe) -> Fe:
@@ -371,7 +356,10 @@ def _try_rank2(m, table: ValueTable) -> Chain | None:
 def rank_enumerate(f: Poly) -> RankReport:
     """Exhaustive chain enumeration (complete by definition of the rank).
 
-    The O(q^5) oracle that the tests hold rank_upto2 to; small q only.
+    The oracle that the tests hold rank_upto2 to: the value tables of
+    every chain of length 1, then 2, in lexicographic parameter order;
+    the first equal to f's is the witness.  The length-2 tables take
+    (q-1)^2 q^3 entries, so small q only (FieldTooLarge from q = 41).
     """
     ctx = f.ctx
     table = _permutation_table(f)
@@ -380,24 +368,13 @@ def rank_enumerate(f: Poly) -> RankReport:
         return RankReport(0, lin)
     t = ff.tables(ctx)
     q = ctx.q
-    target = [ctx.index_of(v) for v in table.values]
-    units = range(1, q)
-    for b0_i, b1_i, b2_i in itertools.product(units, range(q), range(q)):
-        for x in range(q):
-            v = t.add[t.inv0[t.add[t.mul[b0_i, x], b1_i]], b2_i]
-            if v != target[x]:
-                break
-        else:
-            return RankReport(1, Chain(ctx, (ctx.el_at(b0_i), ctx.el_at(b1_i), ctx.el_at(b2_i))))
-    for a_i in itertools.product(units, range(q), units, range(q)):
-        for x in range(q):
-            v = t.add[t.mul[a_i[0], x], a_i[1]]
-            v = t.add[t.inv0[v], a_i[2]]
-            v = t.add[t.inv0[v], a_i[3]]
-            if v != target[x]:
-                break
-        else:
-            return RankReport(2, Chain(ctx, tuple(ctx.el_at(i) for i in a_i)))
+    target = np.array([ctx.index_of(v) for v in table.values], dtype=np.int32)
+    for n in (1, 2):
+        ff.check_bytes((q - 1) ** n * q ** 3 * 4, f"the length-{n} chain tables at q = {q}")
+        cols = ff.chain_grid(q, n)
+        hits = np.flatnonzero((ff.chain_value_tables(t, cols) == target).all(axis=1))
+        if len(hits):
+            return RankReport(n, Chain(ctx, tuple(ctx.el_at(int(a[hits[0]])) for a in cols)))
     return RankReport(MORE_THAN_2)
 
 
@@ -526,11 +503,8 @@ def sweep_rank1(ctx: FieldCtx) -> Rank1Sweep:
     q, p = ctx.q, ctx.p
     ff.check_bytes((q - 1) * q * q * q * 4, f"the rank-1 sweep table at q = {q}")
     t = ff.tables(ctx)
-    a0, a1, a2 = [g.ravel().astype(np.int32) for g in
-                  np.meshgrid(np.arange(1, q), np.arange(q), np.arange(q), indexing="ij")]
-    tablesv = ff.chain_value_tables(t, [a0, a1, a2])
-    coeffs = t.batch_interp(tablesv)
-    weights = ff.weight_rows(coeffs)
+    a0, a1, a2 = ff.chain_grid(q, 1)
+    weights = ff.weight_rows(ff.chain_coeff_rows(t, [a0, a1, a2]))
     # predicted classes
     pred = np.full(len(a0), q - q // p, dtype=np.int64)
     neg_inv_a1 = t.neg[t.inv0[a1]]
@@ -587,22 +561,14 @@ def sweep_rank2(ctx: FieldCtx) -> Rank2Sweep:
               np.meshgrid(np.arange(q), np.arange(1, q), indexing="ij")]
     m = len(a1)
     a0 = np.full(m, t.neg[t.emb[1]], dtype=np.int32)  # a0 = -1
-    inv_a2 = t.inv0[a2]
-    eta = t.add[a1, inv_a2]
-    # a3 making the constant term vanish: a3 = -a2^-1 (a1 eta^(q-2) + 1 - a1^(q-1))
-    eta_top = t.pow_scalar_exp(eta, q - 2)
-    a1_top = t.pow_scalar_exp(a1, q - 1)
-    inner = t.add[t.mul[a1, eta_top],
-                  t.add[np.full(m, t.emb[1], np.int32), t.neg[a1_top]]]
-    a3 = t.neg[t.mul[inv_a2, inner]]
-
-    tablesv = ff.chain_value_tables(t, [a0, a1, a2, a3])
-    coeffs = t.batch_interp(tablesv)
+    a3 = t.neg[ff.rank2_shift(t, a1, a2)]  # makes the constant term vanish
+    coeffs = ff.chain_coeff_rows(t, [a0, a1, a2, a3])
     if (coeffs[:, 0] != 0).any():
         raise AssertionError("normalization failed to zero the constant term")
     weights = ff.weight_rows(coeffs)
     degrees = ff.degree_rows(coeffs)
 
+    eta = t.add[a1, t.inv0[a2]]
     case_a = a1 == 0
     case_b = (a1 != 0) & (eta == 0)
     gamma = np.zeros(m, dtype=np.int32)

@@ -36,23 +36,20 @@ def _field_from_args(args) -> FieldCtx:
     raise SystemExit2("a field is required (--field or --p [--n])")
 
 
-def _poly_field(args) -> FieldCtx | None:
-    """The field named by the field options, or None to take it from --poly."""
-    if args.field is None and args.p is None and args.n is None:
-        return None
-    return _field_from_args(args)
-
-
 class SystemExit2(Exception):
     """Usage error discovered after argparse."""
+
+
+def _capped(ctx: FieldCtx, cap: int) -> FieldCtx:
+    if ctx.q > cap:
+        raise FieldTooLarge(f"q = {ctx.q} exceeds cap {cap}")
+    return ctx
 
 
 def _chain_from_args(args) -> cz.Chain:
     """--chain over the field options, refused above the rank cap as `rank`
     is: `expand` and `rank2-coeffs` expand it by O(q^2) scalar work."""
-    ctx = _field_from_args(args)
-    if ctx.q > cz.RANK_CAP_DEFAULT:
-        raise FieldTooLarge(f"q = {ctx.q} exceeds cap {cz.RANK_CAP_DEFAULT}")
+    ctx = _capped(_field_from_args(args), cz.RANK_CAP_DEFAULT)
     try:
         ints = [int(s) for s in args.chain.split(",")]
     except ValueError as exc:
@@ -60,12 +57,18 @@ def _chain_from_args(args) -> cz.Chain:
     return cz.Chain(ctx, tuple(ctx.from_int(v) for v in ints))
 
 
-def _load_poly(args, ctx: FieldCtx | None = None) -> Poly:
+def _load_poly(args, cap: int) -> Poly:
+    """--poly over the field options, if given; its field is refused above
+    cap before the dense coefficient list is built."""
+    ctx = None  # take the field from --poly
+    if args.field is not None or args.p is not None or args.n is not None:
+        ctx = _field_from_args(args)
     text = args.poly
     try:
         if not text.lstrip().startswith("{"):
             with open(text) as fh:
                 text = fh.read()
+        _capped(parse_field_spec(json.loads(text)["field"]), cap)
         return poly_from_json(text, ctx)
     except OSError as exc:
         raise SystemExit2(f"cannot read --poly: {exc}") from exc
@@ -105,7 +108,7 @@ def cmd_field_info(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    f = cz.expand_chain(_chain_from_args(args), route=args.route)
+    f = cz.expand_chain(_chain_from_args(args))
     print(poly_to_json(f))
     return EXIT_OK
 
@@ -125,9 +128,7 @@ def cmd_rank2_coeffs(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    ctx = _poly_field(args)
-    f = _load_poly(args, ctx)
-    rep = cz.rank_upto2(f, cap=args.cap)
+    rep = cz.rank_upto2(_load_poly(args, cz.RANK_CAP_DEFAULT))
     out = {"rank": rep.label}
     if rep.witness is not None:
         out["witness_chain"] = [_fe_repr(a) for a in rep.witness.a]
@@ -136,8 +137,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_weight(args) -> int:
-    ctx = _poly_field(args)
-    f = _load_poly(args, ctx)
+    f = _load_poly(args, cz.RANK_CAP_DEFAULT)  # is_permutation is O(q^2) scalar work
     _emit({"weight": weight(f), "degree": degree(f),
            "permutation": is_permutation(f)})
     return EXIT_OK
@@ -225,9 +225,8 @@ def cmd_sweep_rank2(args) -> int:
 
 
 def cmd_blahut(args) -> int:
-    ctx = _poly_field(args)
-    f = _load_poly(args, ctx)
-    lc, fw, eq = lco.blahut_check(f, fold=not args.no_fold, cap=args.cap)
+    f = _load_poly(args, lco.BLAHUT_CAP)
+    lc, fw, eq = lco.blahut_check(f, fold=not args.no_fold)
     _emit({"linear_complexity": lc, "folded_weight": fw, "equal": eq})
     return EXIT_OK if eq else EXIT_VERIFY
 
@@ -271,15 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "weights, bounds, and linear complexity.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, field=True, poly=False, chain=False, fmt=False, cap=None):
+    def common(sp, field=True, poly=False, chain=False, fmt=False):
         if field:
             sp.add_argument("--field", help="field spec p=<int>[,n=<int>][,mod=c0,c1,...,1]")
             sp.add_argument("--p", type=int, help="characteristic (prime)")
             sp.add_argument("--n", type=int, help="extension degree")
         if fmt:
             sp.add_argument("--format", choices=["json", "csv"], default="json")
-        if cap is not None:
-            sp.add_argument("--cap", type=int, default=cap, help="largest q accepted")
         if poly:
             sp.add_argument("--poly", required=True,
                             help="polynomial JSON (inline or a file path)")
@@ -289,11 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     common(sub.add_parser("field-info", help="field parameters and enumeration"))
-    sp = common(sub.add_parser("expand", help="expand a chain to a reduced polynomial"), chain=True)
-    sp.add_argument("--route", choices=["table", "power"], default="table")
+    common(sub.add_parser("expand", help="expand a chain to a reduced polynomial"), chain=True)
     common(sub.add_parser("rank2-coeffs", help="closed-form coefficients of a length-2 chain"), chain=True)
-    common(sub.add_parser("rank", help="Carlitz rank classification up to 2"), poly=True,
-           cap=cz.RANK_CAP_DEFAULT)
+    common(sub.add_parser("rank", help="Carlitz rank classification up to 2"), poly=True)
     common(sub.add_parser("weight", help="weight/degree/permutation test"), poly=True)
     sp = sub.add_parser("nu-p", help="nu_p with argmax and bound")
     sp.add_argument("--p", type=int, required=True, help="odd prime")
@@ -311,8 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("bounds", help="rank-2 weight bounds for a field"))
     common(sub.add_parser("sweep-rank1", help="exhaustive rank-1 weight sweep"), fmt=True)
     common(sub.add_parser("sweep-rank2", help="exhaustive normalized rank-2 sweep"), fmt=True)
-    sp = common(sub.add_parser("blahut", help="linear complexity vs folded weight"), poly=True,
-                cap=lco.BLAHUT_CAP)
+    sp = common(sub.add_parser("blahut", help="linear complexity vs folded weight"), poly=True)
     sp.add_argument("--no-fold", action="store_true",
                     help="compare against the raw weight instead")
     sp = sub.add_parser("example-f11", help="the sharp family over F_(11^n)")

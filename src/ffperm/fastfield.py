@@ -17,6 +17,7 @@ from .gf import FieldCtx, primitive_element
 
 TABLE_CAP = 4096  # largest q for which index tables are built
 BYTES_CAP = 1 << 28  # largest (q*n)^2 matrix or sweep value table, in bytes
+ROW_BLOCK = 1 << 22  # prime-field components per block of rows in batch work
 
 
 def check_bytes(nbytes: int, what: str) -> None:
@@ -77,16 +78,6 @@ class FieldTables:
         self._interp_matrix = None
 
     # -- powers with the 0**0 = 1 convention -------------------------------
-    def pow_scalar_exp(self, base: np.ndarray, k: int) -> np.ndarray:
-        """base^k elementwise for one integer exponent k >= 0."""
-        base = np.asarray(base)
-        if k == 0:
-            return np.full(base.shape, self.emb[1], dtype=np.int32)
-        out = np.zeros(base.shape, dtype=np.int32)
-        nz = base != 0
-        out[nz] = self.exp[(k * self.log[base[nz]]) % (self.q - 1)]
-        return out
-
     def pow_outer(self, base: np.ndarray, exps: np.ndarray) -> np.ndarray:
         """(len(base), len(exps)) array of base[r]^exps[c], exps >= 0."""
         base = np.asarray(base)
@@ -156,7 +147,7 @@ class FieldTables:
         m, q = rows_idx.shape
         n = self.n
         out = np.empty_like(rows_idx)
-        chunk = max(1, 4_000_000 // (q * n))
+        chunk = max(1, ROW_BLOCK // (q * n))
         for s in range(0, m, chunk):
             comps = self.elems[rows_idx[s:s + chunk]]          # (c, q, n)
             flat = comps.reshape(len(comps), q * n).astype(np.float64)
@@ -199,6 +190,47 @@ def chain_value_tables(t: FieldTables, a_list: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+def chain_grid(q: int, n: int) -> list[np.ndarray]:
+    """Parameter columns (a0, ..., a_{n+1}) of every length-n chain, n >= 1.
+
+    a0 and a2..a_n run over the nonzero indices, a1 and a_{n+1} over all
+    q; the (q-1)^n q^2 rows are in lexicographic order of the tuple.
+    """
+    units, full = np.arange(1, q), np.arange(q)
+    ranges = [units, full] + [units] * (n - 1) + [full]
+    return [g.ravel().astype(np.int32) for g in np.meshgrid(*ranges, indexing="ij")]
+
+
+def chain_coeff_rows(t: FieldTables, a_list: list[np.ndarray]) -> np.ndarray:
+    """Reduced coefficients of the chains with parameter columns a_list, (m, q).
+
+    Value tables are built and interpolated one block of rows at a time,
+    so only one block's table is held beside the result.
+    """
+    m = len(a_list[0])
+    out = np.empty((m, t.q), dtype=np.int32)
+    block = max(1, ROW_BLOCK // (t.q * t.n))
+    for s in range(0, m, block):
+        out[s:s + block] = t.batch_interp(
+            chain_value_tables(t, [a[s:s + block] for a in a_list]))
+    return out
+
+
+def rank2_shift(t: FieldTables, a1, a2) -> np.ndarray:
+    """a2^-1 (a1 eta^(q-2) + 1 - a1^(q-1)), eta = a1 + a2^-1, per row.
+
+    The constant coefficient of ((a0 x + a1)^(q-2) + a2)^(q-2) + a3 is
+    a3 plus this shift, whatever a0.
+    """
+    a1 = np.asarray(a1, dtype=np.int32)
+    inv_a2 = t.inv0[np.asarray(a2, dtype=np.int32)]
+    q = t.q
+    eta_top = t.pow_outer(t.add[a1, inv_a2], [q - 2])[:, 0]
+    a1_top = t.pow_outer(a1, [q - 1])[:, 0]
+    inner = t.add[t.mul[a1, eta_top], t.add[t.emb[1], t.neg[a1_top]]]
+    return t.mul[inv_a2, inner]
+
+
 def rank2_coeff_rows(t: FieldTables, a0, a1, a2, a3) -> np.ndarray:
     """Reduced coefficients of the rank-2 closed form, one row per tuple.
 
@@ -225,13 +257,8 @@ def rank2_coeff_rows(t: FieldTables, a0, a1, a2, a3) -> np.ndarray:
     bracket = t.add[t.mul[lin, pow_eta], t.neg[pow_a1]]
     coeff = t.mul[t.mul[inv_a2[:, None], pow_neg], bracket]
 
-    eta_top = t.pow_outer(eta, np.array([q - 2]))[:, 0]
-    a1_top = t.pow_outer(a1, np.array([q - 1]))[:, 0]
-    inner = t.add[t.mul[a1, eta_top], t.add[np.full(m, t.emb[1], np.int32), t.neg[a1_top]]]
-    c = t.add[a3, t.mul[inv_a2, inner]]
-
     out = np.zeros((m, q), dtype=np.int32)
-    out[:, 0] = c
+    out[:, 0] = t.add[a3, rank2_shift(t, a1, a2)]
     out[:, 1:q - 1] = coeff
     return out
 

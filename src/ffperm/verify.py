@@ -1,9 +1,10 @@
 """Self-verification suite: one check per headline claim.
 
-Each check returns a CheckResult with a pass flag and a human-readable
-detail line; run_all executes them in order.  Checks that fail do so
-because the underlying claim fails on real counterexamples -- those are
-reported verbatim, never suppressed.
+Each check returns a pass flag and a human-readable detail line;
+run_check names and times it as a CheckResult, and run_all runs every
+criterion in order.  Checks that fail do so because the underlying claim
+fails on real counterexamples -- those are reported verbatim, never
+suppressed.
 """
 
 from __future__ import annotations
@@ -69,30 +70,25 @@ def _prime_powers(lo: int, hi: int) -> list[tuple[int, int]]:
 
 # ---------------------------------------------------------------------------
 
-def check_1(**kw) -> CheckResult:
-    t0 = time.time()
+def check_1(**kw) -> tuple[bool, str]:
     row = ct.nu_p(11)
     ok = row.nu == 3 and 7 in row.argmax
     per_call = min(timeit.repeat(lambda: ct.nu_p(11), number=50, repeat=5)) / 50
     fast = per_call < 1e-3
     details = (f"nu_11 = {row.nu}, argmax = {list(row.argmax)}, "
                f"{per_call * 1e6:.0f} us/call (< 1 ms: {fast})")
-    return CheckResult(1, "nu_11 value and speed", ok and fast, details,
-                       time.time() - t0)
+    return ok and fast, details
 
 
-def check_2(nu_limit: int = NU_SCAN_LIMIT, **kw) -> CheckResult:
-    t0 = time.time()
+def check_2(nu_limit: int = NU_SCAN_LIMIT, **kw) -> tuple[bool, str]:
     rows = _nu_rows(nu_limit)
     viol = [r.p for r in rows if not r.nu <= r.bound]
     details = (f"{len(rows)} odd primes <= {nu_limit}, "
                f"max nu = {max(r.nu for r in rows)}, violations: {viol}")
-    return CheckResult(2, "nu_p window bound", not viol, details,
-                       time.time() - t0)
+    return not viol, details
 
 
-def check_3(**kw) -> CheckResult:
-    t0 = time.time()
+def check_3(**kw) -> tuple[bool, str]:
     bad = []
     for p, n in [(5, 1), (3, 2), (5, 2), (3, 3), (7, 2)]:
         ctx = make_field(p, n)
@@ -104,8 +100,7 @@ def check_3(**kw) -> CheckResult:
         if extra or mism:
             bad.append((q, sorted(extra), mism))
     details = f"q in (5, 9, 25, 27, 49); per-field (q, stray weights, mismatches): {bad or 'none'}"
-    return CheckResult(3, "rank-1 weight classification", not bad, details,
-                       time.time() - t0)
+    return not bad, details
 
 
 RANK2_SWEEP_QS = [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2), (3, 3),
@@ -119,8 +114,7 @@ def _rank2_sweep(p: int, n: int):
     return _sweep_cache[(p, n)]
 
 
-def check_4(**kw) -> CheckResult:
-    t0 = time.time()
+def check_4(**kw) -> tuple[bool, str]:
     problems = []
     for p, n in RANK2_SWEEP_QS:
         q = p ** n
@@ -140,12 +134,10 @@ def check_4(**kw) -> CheckResult:
             problems.append(f"q={q}: min weight {mw} < {target}")
     details = "; ".join(problems) if problems else \
         "cases (a), (b) exact and sharp minimum on all nine fields"
-    return CheckResult(4, "rank-2 sweep and sharpness", not problems, details,
-                       time.time() - t0)
+    return not problems, details
 
 
-def check_5(**kw) -> CheckResult:
-    t0 = time.time()
+def check_5(**kw) -> tuple[bool, str]:
     f1 = cz.example_fn(1)  # raises if the sum and chain forms disagree
     w1 = weight(f1)
     perm = is_permutation(f1)
@@ -155,21 +147,15 @@ def check_5(**kw) -> CheckResult:
     ok = w1 == 6 and perm and rk == 2 and w2 == 106
     details = (f"f_1: weight {w1}, permutation {perm}, rank {rk}; "
                f"f_2: weight {w2}")
-    return CheckResult(5, "the F_11 family", ok, details, time.time() - t0)
+    return ok, details
 
 
-def check_6(seed: int = DEFAULT_SEED, **kw) -> CheckResult:
-    t0 = time.time()
+def check_6(seed: int = DEFAULT_SEED, **kw) -> tuple[bool, str]:
     mismatches = 0
     fields = 0
     for p, n in _prime_powers(3, 27):
-        ctx = make_field(p, n)
-        t = ff.tables(ctx)
-        q = ctx.q
-        a0, a1, a2, a3 = [g.ravel().astype(np.int32) for g in np.meshgrid(
-            np.arange(1, q), np.arange(q), np.arange(1, q), np.arange(q),
-            indexing="ij")]
-        mismatches += _closed_form_mismatches(t, a0, a1, a2, a3)
+        t = ff.tables(make_field(p, n))
+        mismatches += _closed_form_mismatches(t, *ff.chain_grid(t.q, 2))
         fields += 1
     rng = random.Random(seed)
     for p, n in [(7, 2), (3, 4), (11, 2)]:
@@ -185,23 +171,19 @@ def check_6(seed: int = DEFAULT_SEED, **kw) -> CheckResult:
         fields += 1
     details = (f"{fields} fields (exhaustive q <= 27, 1000 random tuples for "
                f"q in (49, 81, 121)): {mismatches} coefficient mismatches")
-    return CheckResult(6, "closed form vs expansion", mismatches == 0,
-                       details, time.time() - t0)
+    return mismatches == 0, details
 
 
 def _closed_form_mismatches(t, a0, a1, a2, a3, chunk: int = 100_000) -> int:
     bad = 0
     for s in range(0, len(a0), chunk):
-        sl = slice(s, s + chunk)
-        tables = ff.chain_value_tables(t, [a0[sl], a1[sl], a2[sl], a3[sl]])
-        via_interp = t.batch_interp(tables)
-        closed = ff.rank2_coeff_rows(t, a0[sl], a1[sl], a2[sl], a3[sl])
-        bad += int((via_interp != closed).any(axis=1).sum())
+        cols = [a[s:s + chunk] for a in (a0, a1, a2, a3)]
+        closed = ff.rank2_coeff_rows(t, *cols)
+        bad += int((ff.chain_coeff_rows(t, cols) != closed).any(axis=1).sum())
     return bad
 
 
-def check_7(**kw) -> CheckResult:
-    t0 = time.time()
+def check_7(**kw) -> tuple[bool, str]:
     viols = []
     for p in [5, 7, 11, 13, 17, 19]:
         scan = ct.window_bound_scan(p)
@@ -217,8 +199,7 @@ def check_7(**kw) -> CheckResult:
                    f"gives {cnt} solutions")
     else:
         details = "no window exceeds the bound"
-    return CheckResult(7, "window bound, all (gamma, c, d, L, M)", not viols,
-                       details, time.time() - t0)
+    return not viols, details
 
 
 def _window_witness(p: int, M: int, target: int):
@@ -234,8 +215,7 @@ def _window_witness(p: int, M: int, target: int):
     return None
 
 
-def check_8(**kw) -> CheckResult:
-    t0 = time.time()
+def check_8(**kw) -> tuple[bool, str]:
     viols = []
     for p, n in [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (11, 2)]:
         ctx = make_field(p, n)
@@ -252,12 +232,10 @@ def check_8(**kw) -> CheckResult:
                 viols.append((q, i, c))
     details = (f"q in (9, 25, 27, 49, 81, 121), all gamma != 1: "
                f"violations {viols or 'none'}")
-    return CheckResult(8, "full-range count bound", not viols, details,
-                       time.time() - t0)
+    return not viols, details
 
 
-def check_9(seed: int = DEFAULT_SEED, **kw) -> CheckResult:
-    t0 = time.time()
+def check_9(seed: int = DEFAULT_SEED, **kw) -> tuple[bool, str]:
     rng = random.Random(seed)
     injective_checked = 0
     bad = 0
@@ -279,12 +257,10 @@ def check_9(seed: int = DEFAULT_SEED, **kw) -> CheckResult:
                 bad += 1
     details = (f"1000 coprime-period pairs, dual counts agree; "
                f"{injective_checked} injective cases, {bad} bound violations")
-    return CheckResult(9, "CRT matching counts", bad == 0, details,
-                       time.time() - t0)
+    return bad == 0, details
 
 
-def check_10(seed: int = DEFAULT_SEED, **kw) -> CheckResult:
-    t0 = time.time()
+def check_10(seed: int = DEFAULT_SEED, **kw) -> tuple[bool, str]:
     bad = 0
     total = 0
     for p, n in [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1)]:
@@ -292,14 +268,8 @@ def check_10(seed: int = DEFAULT_SEED, **kw) -> CheckResult:
         t = ff.tables(ctx)
         q = ctx.q
         # every distinct rank <= 2 chain expansion
-        a0, a1, a2 = [g.ravel().astype(np.int32) for g in np.meshgrid(
-            np.arange(1, q), np.arange(q), np.arange(q), indexing="ij")]
-        tabs1 = ff.chain_value_tables(t, [a0, a1, a2])
-        b0, b1, b2, b3 = [g.ravel().astype(np.int32) for g in np.meshgrid(
-            np.arange(1, q), np.arange(q), np.arange(1, q), np.arange(q),
-            indexing="ij")]
-        tabs2 = ff.chain_value_tables(t, [b0, b1, b2, b3])
-        tabs = np.unique(np.vstack([tabs1, tabs2]), axis=0)
+        tabs = np.unique(np.vstack([ff.chain_value_tables(t, ff.chain_grid(q, k))
+                                    for k in (1, 2)]), axis=0)
         coeffs = t.batch_interp(tabs)
         n_ok, n_tot = _blahut_batch(t, coeffs, tabs)
         bad += n_tot - n_ok
@@ -316,8 +286,7 @@ def check_10(seed: int = DEFAULT_SEED, **kw) -> CheckResult:
         bad += n_tot - n_ok
         total += n_tot
     details = f"{total} polynomials (all rank <= 2 maps + 500 random per field), {bad} mismatches"
-    return CheckResult(10, "weight equals linear complexity", bad == 0,
-                       details, time.time() - t0)
+    return bad == 0, details
 
 
 def _blahut_batch(t, coeff_rows, table_rows) -> tuple[int, int]:
@@ -336,8 +305,7 @@ def _blahut_batch(t, coeff_rows, table_rows) -> tuple[int, int]:
     return ok, len(coeff_rows)
 
 
-def check_11(**kw) -> CheckResult:
-    t0 = time.time()
+def check_11(**kw) -> tuple[bool, str]:
     viols = []
     for p, n in RANK2_SWEEP_QS:
         q = p ** n
@@ -356,12 +324,10 @@ def check_11(**kw) -> CheckResult:
             viols.append(f"q={q}: degree bound")
     details = "; ".join(viols) if viols else \
         "weight > q/3 - 2 and rank >= q - 1 - deg on all sweep instances"
-    return CheckResult(11, "consistency with prior bounds", not viols,
-                       details, time.time() - t0)
+    return not viols, details
 
 
-def check_12(**kw) -> CheckResult:
-    t0 = time.time()
+def check_12(**kw) -> tuple[bool, str]:
     bad = 0
     total = 0
     for p, n in [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2)]:
@@ -377,12 +343,10 @@ def check_12(**kw) -> CheckResult:
             if int(w) != (q - 2) - counts[int(gi)]:
                 bad += 1
     details = f"{total} case-(c) chains across six fields, {bad} mismatches"
-    return CheckResult(12, "weight = (q-2) - count_full(gamma)", bad == 0,
-                       details, time.time() - t0)
+    return bad == 0, details
 
 
-def check_13(nu_limit: int = NU_SCAN_LIMIT, **kw) -> CheckResult:
-    t0 = time.time()
+def check_13(nu_limit: int = NU_SCAN_LIMIT, **kw) -> tuple[bool, str]:
     rows = _nu_rows(nu_limit)
     csv_text = ct.nu_rows_csv(rows)
     best = max(rows, key=lambda r: r.ratio_log)
@@ -390,25 +354,42 @@ def check_13(nu_limit: int = NU_SCAN_LIMIT, **kw) -> CheckResult:
     emitted = csv_text.count("\n") == len(rows) + 1
     details = (f"table of {len(rows)} rows emitted, max nu_p/ln p = "
                f"{best.ratio_log:.4f} at p = {best.p}, all bounded: {bounded}")
-    return CheckResult(13, "conjecture scan report", emitted and bounded,
-                       details, time.time() - t0)
+    return emitted and bounded, details
 
 
-CHECKS = [check_1, check_2, check_3, check_4, check_5, check_6, check_7,
-          check_8, check_9, check_10, check_11, check_12, check_13]
+# criterion name -> check, in criterion order
+CHECKS = {
+    "nu_11 value and speed": check_1,
+    "nu_p window bound": check_2,
+    "rank-1 weight classification": check_3,
+    "rank-2 sweep and sharpness": check_4,
+    "the F_11 family": check_5,
+    "closed form vs expansion": check_6,
+    "window bound, all (gamma, c, d, L, M)": check_7,
+    "full-range count bound": check_8,
+    "CRT matching counts": check_9,
+    "weight equals linear complexity": check_10,
+    "consistency with prior bounds": check_11,
+    "weight = (q-2) - count_full(gamma)": check_12,
+    "conjecture scan report": check_13,
+}
 
 
 def run_check(k: int, **kw) -> CheckResult:
+    """Run criterion k (1-based) and time it."""
     if not 1 <= k <= len(CHECKS):
         raise ValueError(f"no criterion {k}")
-    return CHECKS[k - 1](**kw)
+    name, fn = list(CHECKS.items())[k - 1]
+    t0 = time.perf_counter()
+    passed, details = fn(**kw)
+    return CheckResult(k, name, passed, details, time.perf_counter() - t0)
 
 
 def run_all(nu_limit: int = NU_SCAN_LIMIT, seed: int = DEFAULT_SEED,
             report=None) -> list[CheckResult]:
     results = []
-    for fn in CHECKS:
-        res = fn(nu_limit=nu_limit, seed=seed)
+    for k in range(1, len(CHECKS) + 1):
+        res = run_check(k, nu_limit=nu_limit, seed=seed)
         results.append(res)
         if report is not None:
             report(res.line())

@@ -36,7 +36,7 @@ def test_expand_routes_agree():
             a += [random.randrange(1, ctx.q) for _ in range(L - 1)]
             a.append(random.randrange(ctx.q))
             ch = cz.Chain(ctx, tuple(ctx.el_at(v) for v in a))
-            assert cz.expand_chain(ch, "table") == cz.expand_chain(ch, "power")
+            assert cz.expand_chain(ch) == cz.expand_chain_by_powers(ch)
 
 
 def test_chain_invariants_enforced():
@@ -197,6 +197,10 @@ def test_rank_cap():
     f = Poly.from_coeffs(ctx, [0, 1])
     with pytest.raises(FieldTooLarge):
         cz.rank_upto2(f, cap=3)
+    # the length-2 tables of the exhaustive oracle would take about 1 GiB
+    g = cz.expand_chain(chain_of(make_field(7, 2), -1, 2, 1, 3))
+    with pytest.raises(FieldTooLarge):
+        cz.rank_enumerate(g)
 
 
 def test_thm_and_cor_bounds():

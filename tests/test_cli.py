@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ffperm import carlitz as cz
 from ffperm.cli import main
+from ffperm.gf import make_field
+from ffperm.polyring import poly_from_json
 
 
 def run(capsys, *argv):
@@ -34,9 +37,11 @@ def test_expand_frozen_example(capsys):
 
 
 def test_expand_routes_agree(capsys):
-    _, out_t = run(capsys, "expand", "--p", "7", "--chain=2,3,1,5", "--route", "table")
-    _, out_p = run(capsys, "expand", "--p", "7", "--chain=2,3,1,5", "--route", "power")
-    assert out_t == out_p
+    code, out = run(capsys, "expand", "--p", "7", "--chain=2,3,1,5")
+    assert code == 0
+    ctx = make_field(7)
+    ch = cz.Chain(ctx, tuple(ctx.from_int(v) for v in (2, 3, 1, 5)))
+    assert poly_from_json(out) == cz.expand_chain_by_powers(ch)
 
 
 def test_rank2_coeffs(capsys):
@@ -160,6 +165,9 @@ def test_usage_errors_exit_2(capsys):
     ["bounds", "--p", "1000003"],
     ["expand", "--p", "11", "--n", "4", "--chain=2,3,1,5"],
     ["rank2-coeffs", "--p", "11", "--n", "4", "--chain=2,3,1,5"],
+    ["weight", "--poly", '{"field": "p=3,n=30", "coeffs": [0, 1]}'],
+    ["rank", "--poly", '{"field": "p=3,n=30", "coeffs": [0, 1]}'],
+    ["blahut", "--poly", '{"field": "p=3,n=30", "coeffs": [0, 1]}'],
 ])
 def test_malformed_input_exits_2_without_traceback(capsys, argv):
     assert main(argv) == 2

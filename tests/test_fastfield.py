@@ -1,5 +1,7 @@
 """Index-table arithmetic must agree with the scalar implementation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -29,12 +31,10 @@ def test_tables_match_scalar_ops(p, n):
 def test_pow_conventions():
     t = ff.tables(make_field(5))
     base = np.array([0, 2, 3], dtype=np.int32)
-    out = t.pow_scalar_exp(base, 0)
-    assert (out == t.emb[1]).all()  # 0^0 = 1 too
-    out3 = t.pow_scalar_exp(base, 3)
-    assert out3.tolist() == [0, 3, 2]  # 2^3=8=3, 3^3=27=2
-    outer = t.pow_outer(base, np.array([0, 1, 4]))
-    assert outer[0].tolist() == [t.emb[1], 0, 0]
+    outer = t.pow_outer(base, np.array([0, 1, 3, 4]))
+    assert (outer[:, 0] == t.emb[1]).all()  # 0^0 = 1 too
+    assert outer[:, 2].tolist() == [0, 3, 2]  # 2^3=8=3, 3^3=27=2
+    assert outer[0].tolist() == [t.emb[1], 0, 0, 0]
 
 
 @pytest.mark.parametrize("p,n", FIELDS)
@@ -65,16 +65,23 @@ def test_chain_value_tables_match_scalar():
     from ffperm.carlitz import Chain, expand_chain
     ctx = make_field(7)
     t = ff.tables(ctx)
+    q = ctx.q
     a = [np.array([3], np.int32), np.array([1], np.int32),
          np.array([4], np.int32), np.array([2], np.int32)]
     tabs = ff.chain_value_tables(t, a)
     ch = Chain(ctx, tuple(ctx.el_at(int(v[0])) for v in a))
     expect = [ctx.index_of(v) for v in eval_table(expand_chain(ch)).values]
     assert tabs[0].tolist() == expect
+    # the grid of every length-n chain, in itertools.product order
+    units, full = range(1, q), range(q)
+    for n in (1, 2, 3):
+        grid = list(zip(*(col.tolist() for col in ff.chain_grid(q, n))))
+        assert len(grid) == (q - 1) ** n * q ** 2
+        assert grid == list(itertools.product(units, full, *[units] * (n - 1), full))
 
 
 def test_rank2_coeff_rows_match_scalar():
-    from ffperm.carlitz import rank2_coeffs
+    from ffperm.carlitz import Chain, expand_chain
     for p, n in [(5, 1), (3, 2), (7, 1)]:
         ctx = make_field(p, n)
         t = ff.tables(ctx)
@@ -87,9 +94,8 @@ def test_rank2_coeff_rows_match_scalar():
         a3 = rng.integers(0, q, m).astype(np.int32)
         rows = ff.rank2_coeff_rows(t, a0, a1, a2, a3)
         for r in range(m):
-            f = rank2_coeffs(ctx.el_at(int(a0[r])), ctx.el_at(int(a1[r])),
-                             ctx.el_at(int(a2[r])), ctx.el_at(int(a3[r])))
-            assert rows[r].tolist() == [ctx.index_of(c) for c in f.coeffs]
+            ch = Chain(ctx, tuple(ctx.el_at(int(a[r])) for a in (a0, a1, a2, a3)))
+            assert rows[r].tolist() == [ctx.index_of(c) for c in expand_chain(ch).coeffs]
 
 
 def test_weight_and_degree_rows():
