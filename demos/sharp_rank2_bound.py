@@ -26,7 +26,7 @@ def main():
         hist = {int(w): int(c) for w, c in
                 zip(*np.unique(weights, return_counts=True))}
         print(f"\nF_{q} (p = {p}): nu_p = {nu}, "
-              f"bounds: {float(thm):.3f} (surd) / {sharp} (sharp)")
+              f"bounds: {thm:.3f} (theorem) / {sharp} (sharp)")
         print(f"  weight histogram over {len(weights)} exact-rank-2 chains:")
         for w in sorted(hist):
             marker = "  <- sharp minimum" if w == sharp else ""

@@ -18,9 +18,9 @@ def main():
         print(f"\np = {p}:")
         print("    M   max count   bound(M)   bound(M+1)")
         for M in sorted(scan):
-            b = float(ct.lemma_window_bound(M))
-            b1 = float(ct.lemma_window_bound(M + 1))
-            flag = "   <- exceeds bound(M)" if not scan[M] <= ct.lemma_window_bound(M) else ""
+            b = ct.window_bound(M)
+            b1 = ct.window_bound(M + 1)
+            flag = "" if ct.within_window_bound(scan[M], M) else "   <- exceeds bound(M)"
             print(f"  {M:3d}   {scan[M]:6d}      {b:6.3f}     {b1:6.3f}{flag}")
 
     print("\nA concrete extremal window (p = 5, M = 3):")

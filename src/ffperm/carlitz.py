@@ -11,7 +11,7 @@ closed-form coefficient formula for length-2 chains.
 from __future__ import annotations
 
 import itertools
-import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,13 +20,12 @@ import numpy as np
 from . import fastfield as ff
 from .errors import (BadChain, BadParam, BadRange, EvenCharacteristic,
                      FieldTooLarge, NotPermutation)
-from .gf import Fe, FieldCtx, format_field_spec, inv0, make_field, parse_field_spec
+from .gf import Fe, FieldCtx, inv0, make_field
 from .polyring import (Poly, ValueTable, _pow_reduce, degree, eval_table,
                        interpolate, reduce_mod_xq_x, weight)
-from .surd import Surd
 
 __all__ = [
-    "Chain", "MobiusMap", "PoleSet", "RankReport", "INFINITY", "expand_chain",
+    "Chain", "MobiusMap", "RankReport", "INFINITY", "expand_chain",
     "expand_chain_by_powers", "convergents", "agreement_check", "rank2_coeffs",
     "rank2_piecewise_eval", "rank1_weight", "rank1_weight_class", "rank_upto2",
     "rank_enumerate", "thm_rank2_bound", "cor_rank2_bound", "got_bounds",
@@ -76,19 +75,6 @@ class Chain:
     def n(self) -> int:
         return len(self.a) - 2
 
-    def to_json(self) -> str:
-        n = self.ctx.n
-        return json.dumps({
-            "field": format_field_spec(self.ctx),
-            "a": [c.coeffs[0] if n == 1 else list(c.coeffs) for c in self.a],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "Chain":
-        obj = json.loads(text)
-        ctx = parse_field_spec(obj["field"])
-        return cls(ctx, tuple(ctx.el(v) for v in obj["a"]))
-
 
 @dataclass(frozen=True)
 class MobiusMap:
@@ -119,19 +105,6 @@ class MobiusMap:
         if not self.den[0]:
             return INFINITY
         return self.num[0] * inv0(self.den[0])
-
-
-@dataclass(frozen=True)
-class PoleSet:
-    """Poles -beta_i/alpha_i, i = 1..n, as points of P^1(F_q)."""
-
-    points: tuple
-
-    def __contains__(self, x) -> bool:
-        return x in self.points
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 @dataclass(frozen=True)
@@ -178,8 +151,11 @@ def expand_chain_by_powers(ch: Chain) -> Poly:
     return poly
 
 
-def convergents(ch: Chain) -> tuple[MobiusMap, PoleSet]:
-    """Convergent R_n and pole set O_n from the standard recurrence."""
+def convergents(ch: Chain) -> tuple[MobiusMap, tuple]:
+    """Convergent R_n and pole set O_n from the standard recurrence.
+
+    The poles -beta_i/alpha_i, i = 1..n, are points of P^1(F_q).
+    """
     if ch.n < 1:
         raise BadChain("convergents need chain length n >= 1")
     ctx = ch.ctx
@@ -196,7 +172,7 @@ def convergents(ch: Chain) -> tuple[MobiusMap, PoleSet]:
         else:
             poles.append(INFINITY)
     mob = MobiusMap(ctx, (alpha[n + 1], beta[n + 1]), (alpha[n], beta[n]))
-    return mob, PoleSet(tuple(poles))
+    return mob, tuple(poles)
 
 
 def agreement_check(ch: Chain) -> bool:
@@ -415,13 +391,12 @@ def rank_upto2(f: Poly, cap: int = RANK_CAP_DEFAULT) -> RankReport:
 # ---------------------------------------------------------------------------
 # bounds
 
-def thm_rank2_bound(ctx: FieldCtx) -> Surd:
-    """q - q/p - sqrt(3p/2 - 39/16) + 1/4 as an exact comparison object."""
+def thm_rank2_bound(ctx: FieldCtx) -> float:
+    """q - q/p - sqrt(3p/2 - 39/16) + 1/4 as a float, for display only."""
     if ctx.p == 2:
         raise EvenCharacteristic("the rank-2 weight bound needs odd p")
     q, p = ctx.q, ctx.p
-    return Surd(Fraction(q) - Fraction(q, p) + Fraction(1, 4), Fraction(-1),
-                Fraction(3 * p, 2) - Fraction(39, 16))
+    return (q - q // p + 0.25) - math.sqrt((24 * p - 39) / 16)
 
 
 def cor_rank2_bound(ctx: FieldCtx, nu_p: int) -> int:

@@ -146,7 +146,7 @@ def cmd_weight(args) -> int:
 def cmd_nu_p(args) -> int:
     row = ct.nu_p(args.p)
     _emit({"p": row.p, "nu": row.nu, "argmax": list(row.argmax),
-           "bound": float(row.bound), "ratio_log": row.ratio_log})
+           "bound": row.bound, "ratio_log": row.ratio_log})
     return EXIT_OK
 
 
@@ -158,10 +158,9 @@ def cmd_scan_nu(args) -> int:
     else:
         for r in rows:
             _emit({"p": r.p, "nu": r.nu, "argmax": list(r.argmax),
-                   "bound": float(r.bound), "ratio_log": r.ratio_log})
+                   "bound": r.bound, "ratio_log": r.ratio_log})
     _emit({"summary": summary})
-    ok = all(r.nu <= r.bound for r in rows)
-    return EXIT_OK if ok else EXIT_VERIFY
+    return EXIT_OK if summary["all_bounded"] else EXIT_VERIFY
 
 
 def cmd_count_window(args) -> int:
@@ -171,9 +170,8 @@ def cmd_count_window(args) -> int:
     count = ct.count_exp_linear(qr)
     out = {"count": count}
     if args.M >= 3:
-        bound = ct.lemma_window_bound(args.M)
-        out["bound"] = float(bound)
-        out["within_bound"] = bool(count <= bound)
+        out["bound"] = ct.window_bound(args.M)
+        out["within_bound"] = ct.within_window_bound(count, args.M)
     _emit(out)
     return EXIT_OK
 
@@ -191,7 +189,7 @@ def cmd_bounds(args) -> int:
     thm = cz.thm_rank2_bound(ctx)
     cor = cz.cor_rank2_bound(ctx, nu)
     _emit({"q": ctx.q, "nu_p": nu,
-           "rank2_weight_bound": float(thm),
+           "rank2_weight_bound": thm,
            "rank2_weight_bound_sharp": cor})
     return EXIT_OK
 
@@ -218,7 +216,7 @@ def cmd_sweep_rank2(args) -> int:
     if sw.min_weight is not None:
         viol = int((sw.weights[sw.exact_rank2] < cor).sum())
     row = {"q": q, "p": p, "case": "rank2", "min_weight": sw.min_weight,
-           "bound_thm33": round(float(thm), 6), "bound_cor35": cor,
+           "bound_thm33": round(thm, 6), "bound_cor35": cor,
            "violations": viol}
     _emit_sweep_row(args, row)
     return EXIT_OK if viol == 0 else EXIT_VERIFY

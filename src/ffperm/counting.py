@@ -12,18 +12,16 @@ import io
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import (BadRange, CompositeP, EvenCharacteristic, FieldTooLarge,
                      GammaOne, NonCoprimePeriods, ZeroC)
 from .gf import Fe, FieldCtx, factorize, is_prime, make_field
-from .surd import Surd, sqrt_plus
 
 __all__ = [
     "CountQuery", "NuRow", "count_exp_linear", "count_exp_linear_naive",
-    "lemma_window_bound", "count_full", "nu_p", "nu_p_naive",
+    "within_window_bound", "window_bound", "count_full", "nu_p", "nu_p_naive",
     "crt_match_count", "cor23_window_check", "conjecture_scan", "nu_rows_csv",
     "window_bound_scan",
 ]
@@ -56,15 +54,15 @@ class CountQuery:
 
 @dataclass(frozen=True)
 class NuRow:
+    """nu_p with its argmax list; bound is window_bound(p), for display."""
+
     p: int
     nu: int
     argmax: tuple[int, ...]
-    bound: Surd
+    bound: float
     ratio_log: float
 
     def __post_init__(self):
-        if not (0 <= self.nu) or not (self.nu <= self.bound):
-            raise AssertionError(f"nu_{self.p} = {self.nu} escapes its bound")
         if self.nu > 0 and not self.argmax:
             raise AssertionError("positive nu needs a witness gamma")
 
@@ -110,11 +108,28 @@ def count_exp_linear_naive(qr: CountQuery) -> int:
     return count
 
 
-def lemma_window_bound(M: int) -> Surd:
-    """sqrt(3M/2 - 39/16) + 5/4 as an exact comparison object."""
+def _check_window_m(M: int) -> None:
     if M < 3:
         raise BadRange("the window bound needs M >= 3")
-    return sqrt_plus(Fraction(3 * M, 2) - Fraction(39, 16), Fraction(5, 4))
+
+
+def within_window_bound(count: int, M: int) -> bool:
+    """count <= sqrt(3M/2 - 39/16) + 5/4, decided in integers.
+
+    Times 4 this is 4*count - 5 <= sqrt(24M - 39), which holds exactly
+    when 4*count - 5 <= 0 or (4*count - 5)^2 <= 24M - 39.  The full-range
+    bound q/p + 1/4 + sqrt(3p/2 - 39/16) is this one at M = p shifted by
+    the integer q/p - 1, so it is within_window_bound(count - (q/p - 1), p).
+    """
+    _check_window_m(M)
+    s = 4 * count - 5
+    return s <= 0 or s * s <= 24 * M - 39
+
+
+def window_bound(M: int) -> float:
+    """sqrt(3M/2 - 39/16) + 5/4 as a float, for display only."""
+    _check_window_m(M)
+    return 1.25 + math.sqrt((24 * M - 39) / 16)
 
 
 def count_full(ctx: FieldCtx, gamma: Fe) -> int:
@@ -166,8 +181,7 @@ def _check_odd_prime(p: int) -> None:
 
 
 def _nu_row(p: int, nu: int, argmax: list[int]) -> NuRow:
-    bound = lemma_window_bound(p)
-    return NuRow(p, nu, tuple(sorted(argmax)), bound, nu / math.log(p))
+    return NuRow(p, nu, tuple(sorted(argmax)), window_bound(p), nu / math.log(p))
 
 
 def nu_p_naive(p: int) -> NuRow:
@@ -345,7 +359,7 @@ def conjecture_scan(p_min: int, p_max: int) -> tuple[list[NuRow], dict]:
         "count": len(rows),
         "max_ratio": max((r.ratio_log for r in rows), default=None),
         "argmax_p": max(rows, key=lambda r: r.ratio_log).p if rows else None,
-        "all_bounded": all(r.nu <= r.bound for r in rows),
+        "all_bounded": all(within_window_bound(r.nu, r.p) for r in rows),
     }
     return rows, summary
 
@@ -357,7 +371,7 @@ def nu_rows_csv(rows: list[NuRow]) -> str:
                 "ratio_log"])
     for r in rows:
         w.writerow([r.p, r.nu, ";".join(map(str, r.argmax)),
-                    f"{float(r.bound):.6f}",
+                    f"{r.bound:.6f}",
                     f"sqrt(3*{r.p}/2-39/16)+5/4",
                     f"{r.ratio_log:.6f}"])
     return out.getvalue()

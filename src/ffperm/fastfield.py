@@ -59,13 +59,23 @@ class FieldTables:
         log[exp] = np.arange(q - 1)
         self.log = log
 
-        # operation tables
-        self.add = (((elems[:, None, :] + elems[None, :, :]) % p)
-                    @ self.place).astype(np.int32)
+        # operation tables, one q x q int32 temporary at a time
+        add = np.zeros((q, q), dtype=np.int32)
+        for k in range(n):  # digit k of the sum, reduced by one conditional subtract
+            d = elems[:, k].astype(np.int32)
+            s = d[:, None] + d[None, :]
+            np.subtract(s, p, out=s, where=s >= p)
+            s *= int(self.place[k])
+            add += s
+            del s
+        self.add = add
         mul = np.zeros((q, q), dtype=np.int32)
         if q > 1:
-            lg = log[1:]
-            mul[1:, 1:] = exp[(lg[:, None] + lg[None, :]) % (q - 1)]
+            lg = log[1:].astype(np.int32)
+            e = lg[:, None] + lg[None, :]
+            np.subtract(e, q - 1, out=e, where=e >= q - 1)
+            mul[1:, 1:] = exp.astype(np.int32)[e]
+            del e
         self.mul = mul
         self.neg = (((p - elems) % p) @ self.place).astype(np.int32)
         inv = np.zeros(q, dtype=np.int32)

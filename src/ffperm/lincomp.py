@@ -9,11 +9,9 @@ sequence cannot tell x^(q-1) from 1).
 
 from __future__ import annotations
 
-import json
-
 from . import fastfield as ff
 from .errors import EmptySequence, FieldTooLarge, MixedFields
-from .gf import Fe, FieldCtx, format_field_spec, parse_field_spec, primitive_element
+from .gf import Fe, FieldCtx, primitive_element
 from .polyring import Poly, evaluate, weight
 
 __all__ = ["Sequence", "berlekamp_massey", "blahut_check", "folded_weight",
@@ -36,19 +34,6 @@ class Sequence:
 
     def doubled(self) -> tuple[Fe, ...]:
         return self.terms + self.terms
-
-    def to_json(self) -> str:
-        n = self.ctx.n
-        return json.dumps({
-            "field": format_field_spec(self.ctx),
-            "terms": [t.coeffs[0] if n == 1 else list(t.coeffs) for t in self.terms],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "Sequence":
-        obj = json.loads(text)
-        ctx = parse_field_spec(obj["field"])
-        return cls(ctx, obj["terms"])
 
 
 def sequence_from_poly(f: Poly, alpha: Fe | None = None) -> Sequence:

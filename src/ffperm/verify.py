@@ -13,7 +13,6 @@ import random
 import time
 import timeit
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from . import fastfield as ff
 from . import lincomp as lco
 from .gf import is_prime, make_field
 from .polyring import is_permutation, weight
-from .surd import sqrt_plus
 
 __all__ = ["CheckResult", "run_check", "run_all", "CHECKS", "NU_SCAN_LIMIT"]
 
@@ -82,7 +80,7 @@ def check_1(**kw) -> tuple[bool, str]:
 
 def check_2(nu_limit: int = NU_SCAN_LIMIT, **kw) -> tuple[bool, str]:
     rows = _nu_rows(nu_limit)
-    viol = [r.p for r in rows if not r.nu <= r.bound]
+    viol = [r.p for r in rows if not ct.within_window_bound(r.nu, r.p)]
     details = (f"{len(rows)} odd primes <= {nu_limit}, "
                f"max nu = {max(r.nu for r in rows)}, violations: {viol}")
     return not viol, details
@@ -188,8 +186,8 @@ def check_7(**kw) -> tuple[bool, str]:
     for p in [5, 7, 11, 13, 17, 19]:
         scan = ct.window_bound_scan(p)
         for M in range(3, p + 1):
-            if not scan[M] <= ct.lemma_window_bound(M):
-                viols.append((p, M, scan[M], round(float(ct.lemma_window_bound(M)), 3)))
+            if not ct.within_window_bound(scan[M], M):
+                viols.append((p, M, scan[M], round(ct.window_bound(M), 3)))
     if viols:
         # exhibit one concrete witness for the smallest violating (p, M)
         p, M, cnt, bnd = viols[0]
@@ -220,15 +218,14 @@ def check_8(**kw) -> tuple[bool, str]:
     for p, n in [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (11, 2)]:
         ctx = make_field(p, n)
         q = ctx.q
-        bound = sqrt_plus(Fraction(3 * p, 2) - Fraction(39, 16),
-                          Fraction(q, p) + Fraction(1, 4))
         one = ctx.one()
         for i in range(q):
             gamma = ctx.el_at(i)
             if gamma == one:
                 continue
             c = ct.count_full(ctx, gamma)
-            if not c <= bound:
+            # c <= q/p + 1/4 + sqrt(3p/2 - 39/16): the window bound at p, shifted
+            if not ct.within_window_bound(c - (q // p - 1), p):
                 viols.append((q, i, c))
     details = (f"q in (9, 25, 27, 49, 81, 121), all gamma != 1: "
                f"violations {viols or 'none'}")
@@ -317,8 +314,7 @@ def check_11(**kw) -> tuple[bool, str]:
         mid[:, q - 2] = 0
         special = (mid == 0).all(axis=1)
         sel = deg_ok & ~special
-        thr = Fraction(q, 3) - 2
-        if not all(w > thr for w in sw.weights[sel]):
+        if not (3 * sw.weights[sel] > q - 6).all():  # weight > q/3 - 2
             viols.append(f"q={q}: weight bound q/3-2")
         if not (2 >= q - 1 - sw.degrees[sel]).all():
             viols.append(f"q={q}: degree bound")
@@ -350,7 +346,7 @@ def check_13(nu_limit: int = NU_SCAN_LIMIT, **kw) -> tuple[bool, str]:
     rows = _nu_rows(nu_limit)
     csv_text = ct.nu_rows_csv(rows)
     best = max(rows, key=lambda r: r.ratio_log)
-    bounded = all(r.nu <= r.bound for r in rows)
+    bounded = all(ct.within_window_bound(r.nu, r.p) for r in rows)
     emitted = csv_text.count("\n") == len(rows) + 1
     details = (f"table of {len(rows)} rows emitted, max nu_p/ln p = "
                f"{best.ratio_log:.4f} at p = {best.p}, all bounded: {bounded}")

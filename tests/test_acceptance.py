@@ -76,7 +76,7 @@ def test_criterion_07_window_bound_details():
     for p in [5, 7, 11, 13, 17, 19]:
         scan = ct.window_bound_scan(p)
         for M in range(3, p + 1):
-            assert scan[M] <= ct.lemma_window_bound(M + 1)
+            assert ct.within_window_bound(scan[M], M + 1)
 
 
 def test_criterion_08_full_range_bound():

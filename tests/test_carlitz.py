@@ -10,7 +10,6 @@ from ffperm.errors import (BadChain, BadParam, BadRange, EvenCharacteristic,
 from ffperm.gf import inv0, make_field
 from ffperm.polyring import (Poly, eval_table, is_permutation,
                              reduce_mod_xq_x, weight)
-from ffperm.surd import Surd
 
 
 def chain_of(ctx, *vals):
@@ -49,18 +48,11 @@ def test_chain_invariants_enforced():
     chain_of(ctx, 1, 1, 2, 0)
 
 
-def test_chain_json_roundtrip():
-    for p, n in [(5, 1), (3, 2)]:
-        ctx = make_field(p, n)
-        ch = cz.Chain(ctx, (ctx.el_at(1), ctx.el_at(2), ctx.el_at(1), ctx.zero()))
-        assert cz.Chain.from_json(ch.to_json()).a == ch.a
-
-
 def test_convergents_and_poles():
     ctx = make_field(5)
     ch = chain_of(ctx, -1, 1, 4, 0)
     mob, poles = cz.convergents(ch)
-    assert set(poles.points) == {ctx.from_int(1), ctx.from_int(0)}
+    assert set(poles) == {ctx.from_int(1), ctx.from_int(0)}
     assert cz.agreement_check(ch)
 
 
@@ -205,9 +197,8 @@ def test_rank_cap():
 
 def test_thm_and_cor_bounds():
     ctx11 = make_field(11)
-    b = cz.thm_rank2_bound(ctx11)
-    assert float(b) == pytest.approx(6.5)
-    assert b == Surd(Fraction(41, 4), Fraction(-1), Fraction(225, 16))
+    # 41/4 - sqrt(225/16) = 13/2, exact in floating point
+    assert cz.thm_rank2_bound(ctx11) == 6.5
     assert cz.cor_rank2_bound(ctx11, 3) == 6
     ctx121 = make_field(11, 2)
     assert cz.cor_rank2_bound(ctx121, 3) == 121 - 11 - 1 - 3

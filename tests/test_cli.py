@@ -1,12 +1,14 @@
 import contextlib
 import io
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffperm import carlitz as cz
+from ffperm import counting as ct
 from ffperm.cli import main
 from ffperm.gf import make_field
 from ffperm.polyring import poly_from_json
@@ -82,6 +84,19 @@ def test_scan_nu_deterministic(capsys):
     _, a = run(capsys, "scan-nu", "--range", "3:31")
     _, b = run(capsys, "scan-nu", "--range", "3:31")
     assert a == b
+
+
+def test_scan_nu_reports_a_violating_row(capsys, monkeypatch):
+    """A nu over its bound is a failed claim: exit 1 with the row, no traceback."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # serial path
+    monkeypatch.setattr(ct, "_nu_kernel", lambda p: (p, [2]))
+    code = main(["scan-nu", "--range", "11:11"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    row, summary = jlines(captured.out)
+    assert row["p"] == 11 and row["nu"] == 11
+    assert summary["summary"]["all_bounded"] is False
 
 
 def test_count_window(capsys):

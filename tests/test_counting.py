@@ -1,6 +1,6 @@
+import math
 import os
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -54,11 +54,31 @@ def test_incremental_equals_naive_random():
 
 
 def test_lemma_window_bound_values():
-    assert ct.lemma_window_bound(11) == Fraction(5)
-    assert ct.lemma_window_bound(5) == Fraction(7, 2)
-    assert float(ct.lemma_window_bound(3)) == pytest.approx(2.6861406616)
+    # M = 11: 5/4 + sqrt(225/16) = 5 exactly, so 5 is within and 6 is not
+    assert ct.within_window_bound(5, 11) and not ct.within_window_bound(6, 11)
+    # M = 5: 5/4 + sqrt(81/16) = 7/2
+    assert ct.within_window_bound(3, 5) and not ct.within_window_bound(4, 5)
+    assert ct.window_bound(11) == 5.0 and ct.window_bound(5) == 3.5
+    assert ct.window_bound(3) == pytest.approx(2.6861406616)
     with pytest.raises(BadRange):
-        ct.lemma_window_bound(2)
+        ct.window_bound(2)
+    with pytest.raises(BadRange):
+        ct.within_window_bound(0, 2)
+
+
+def test_window_predicate_against_isqrt():
+    """For integer s, s <= sqrt(N) iff s <= isqrt(N)."""
+    for M in range(3, 3000):
+        r = math.isqrt(24 * M - 39)
+        for c in range(60):
+            assert ct.within_window_bound(c, M) == (4 * c - 5 <= r), (c, M)
+    # criterion 8: c <= q/p + 1/4 + sqrt(3p/2 - 39/16), times 4
+    for p, n in [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (11, 2)]:
+        q = p ** n
+        r = math.isqrt(24 * p - 39)
+        for c in range(q):
+            assert (ct.within_window_bound(c - (q // p - 1), p)
+                    == (4 * c - 4 * (q // p) - 1 <= r)), (q, c)
 
 
 def test_count_full_oracles():
@@ -179,7 +199,7 @@ def test_window_bound_holds_with_shifted_m():
     for p in [5, 7, 11, 13]:
         scan = ct.window_bound_scan(p)
         for M in range(3, p + 1):
-            assert scan[M] <= ct.lemma_window_bound(M + 1)
+            assert ct.within_window_bound(scan[M], M + 1)
 
 
 def test_conjecture_scan_rows_and_csv():
@@ -199,4 +219,4 @@ def test_conjecture_scan_rows_and_csv():
 def test_nu_rows_are_bounded():
     for p in [3, 5, 7, 11, 13, 17, 19, 23]:
         r = ct.nu_p(p)
-        assert r.nu <= r.bound
+        assert ct.within_window_bound(r.nu, p)

@@ -107,14 +107,6 @@ def test_lc_at_most_period():
         assert lc.berlekamp_massey(s * 2) <= period
 
 
-def test_sequence_json_roundtrip():
-    ctx = make_field(3, 2)
-    f = Poly.from_coeffs(ctx, [0, 1, 1])
-    seq = lc.sequence_from_poly(f)
-    back = lc.Sequence.from_json(seq.to_json())
-    assert back.terms == seq.terms
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 4), min_size=1, max_size=10))
 def test_bm_recurrence_is_valid(vals):
