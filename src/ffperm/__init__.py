@@ -23,6 +23,6 @@ from .carlitz import (Chain, INFINITY, MobiusMap, RankReport,
 from .counting import (CountQuery, NuRow, conjecture_scan, count_exp_linear,
                        count_full, crt_match_count, nu_p, window_bound,
                        within_window_bound)
-from .lincomp import Sequence, berlekamp_massey, blahut_check
+from .lincomp import berlekamp_massey, blahut_check
 
 __version__ = "0.1.0"

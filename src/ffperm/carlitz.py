@@ -354,7 +354,7 @@ def rank_enumerate(f: Poly) -> RankReport:
     return RankReport(MORE_THAN_2)
 
 
-def rank_upto2(f: Poly, cap: int = RANK_CAP_DEFAULT) -> RankReport:
+def rank_upto2(f: Poly) -> RankReport:
     """Carlitz-rank classification into {0, 1, 2, more-than-2} with witness.
 
     A rank <= 2 permutation agrees with its convergent Mobius map off at
@@ -367,8 +367,8 @@ def rank_upto2(f: Poly, cap: int = RANK_CAP_DEFAULT) -> RankReport:
     search sound; rank_enumerate is the exhaustive oracle.
     """
     ctx = f.ctx
-    if ctx.q > cap:
-        raise FieldTooLarge(f"q = {ctx.q} exceeds cap {cap}")
+    if ctx.q > RANK_CAP_DEFAULT:
+        raise FieldTooLarge(f"q = {ctx.q} exceeds cap {RANK_CAP_DEFAULT}")
     table = _permutation_table(f)
     lin = _linear_witness(table)
     if lin is not None:
@@ -424,11 +424,11 @@ def degree_rank_check(f: Poly, rank: int) -> bool:
 # ---------------------------------------------------------------------------
 # the q = 11^n family attaining the sharp bound
 
-def example_fn(n: int, cap: int = 2) -> Poly:
+def example_fn(n: int) -> Poly:
     """Sum-form member of the sharp family over F_{11^n}, self-verified
     against its chain form ((2 - x)^(q-2) + 1)^(q-2) - 8."""
-    if not 1 <= n <= cap:
-        raise BadRange(f"need 1 <= n <= {cap}")
+    if not 1 <= n <= 2:
+        raise BadRange("need 1 <= n <= 2")
     ctx = make_field(11, n)
     q = ctx.q
     four = ctx.from_int(4)

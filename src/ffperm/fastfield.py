@@ -1,11 +1,11 @@
 """Vectorized field arithmetic on element indices, for exhaustive sweeps.
 
 Elements of F_q are identified with their position in the fixed
-enumeration (see gf); index 0 is the zero element.  Multiplication runs
-on discrete-log tables, addition on a precomputed q x q table.  All
-batch routines here are cross-checked against the scalar gf/polyring
-implementations in the test suite; they are accelerators, not a second
-source of truth.
+enumeration (see gf); index 0 is the zero element.  Addition and
+multiplication are q x q tables, the multiplication table built from
+discrete logs.  All batch routines here are cross-checked against the
+scalar gf/polyring/lincomp implementations in the test suite; they are
+accelerators, not a second source of truth.
 """
 
 from __future__ import annotations
@@ -288,25 +288,3 @@ def degree_rows(coeff_rows: np.ndarray) -> np.ndarray:
     deg[~nz.any(axis=1)] = -1
     return deg
 
-
-class TableOps:
-    """Scalar field operations on element indices, for tight loops."""
-
-    def __init__(self, t: FieldTables):
-        self.add_t = t.add
-        self.mul_t = t.mul
-        self.neg_t = t.neg
-        self.inv_t = t.inv0
-        self.one = int(t.emb[1])
-
-    def add(self, x, y):
-        return int(self.add_t[x, y])
-
-    def sub(self, x, y):
-        return int(self.add_t[x, self.neg_t[y]])
-
-    def mul(self, x, y):
-        return int(self.mul_t[x, y])
-
-    def inv(self, x):
-        return int(self.inv_t[x])

@@ -9,106 +9,111 @@ sequence cannot tell x^(q-1) from 1).
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import fastfield as ff
-from .errors import EmptySequence, FieldTooLarge, MixedFields
-from .gf import Fe, FieldCtx, primitive_element
+from .errors import EmptySequence, FieldTooLarge
+from .gf import Fe, inv0, primitive_element
 from .polyring import Poly, evaluate, weight
 
-__all__ = ["Sequence", "berlekamp_massey", "blahut_check", "folded_weight",
-           "sequence_from_poly", "BLAHUT_CAP"]
+__all__ = ["berlekamp_massey", "berlekamp_massey_rows", "blahut_check",
+           "folded_weight", "sequence_from_poly", "BLAHUT_CAP"]
 
 BLAHUT_CAP = 512
 
 
-class Sequence:
-    """One period of s_n = f(alpha^n), n = 0..q-2, plus its provenance."""
-
-    def __init__(self, ctx: FieldCtx, terms, source: Poly | None = None,
-                 alpha: Fe | None = None):
-        self.ctx = ctx
-        self.terms = tuple(ctx.el(t) for t in terms)
-        self.source = source
-        self.alpha = alpha if alpha is not None else primitive_element(ctx)
-        if source is not None and len(self.terms) != ctx.q - 1:
-            raise ValueError("polynomial sequences have exactly q-1 terms")
-
-    def doubled(self) -> tuple[Fe, ...]:
-        return self.terms + self.terms
-
-
-def sequence_from_poly(f: Poly, alpha: Fe | None = None) -> Sequence:
+def sequence_from_poly(f: Poly) -> tuple[Fe, ...]:
+    """One period of s_n = f(alpha^n), n = 0..q-2, alpha the primitive element."""
     ctx = f.ctx
-    if alpha is None:
-        alpha = primitive_element(ctx)
-    elif alpha.ctx != ctx:
-        raise MixedFields("alpha from a different field")
+    alpha = primitive_element(ctx)
     terms = []
     x = ctx.one()
     for _ in range(ctx.q - 1):
         terms.append(evaluate(f, x))
         x = x * alpha
-    return Sequence(ctx, terms, source=f, alpha=alpha)
+    return tuple(terms)
 
 
-class _FeOps:
-    """Field operations on Fe values, the default backend for BM."""
+def berlekamp_massey(s) -> int:
+    """Length of the shortest LFSR over F_q generating the Fe terms of s.
 
-    def __init__(self, ctx: FieldCtx):
-        self.ctx = ctx
-        self.one = ctx.one()
-
-    def add(self, x, y):
-        return x + y
-
-    def sub(self, x, y):
-        return x - y
-
-    def mul(self, x, y):
-        return x * y
-
-    def inv(self, x):
-        from .gf import inv0
-        return inv0(x)
-
-
-def berlekamp_massey(s, ops=None) -> int:
-    """Length of the shortest LFSR over F_q generating the terms of s.
-
-    s is a sequence of Fe values (or of element indices when ops is a
-    fastfield.TableOps).  Periodic inputs should provide two periods.
+    The scalar reference for berlekamp_massey_rows.  Periodic inputs
+    should provide two periods.
     """
     s = list(s)
     if not s:
         raise EmptySequence("berlekamp_massey needs at least one term")
-    if ops is None:
-        ops = _FeOps(s[0].ctx)
-    zero = ops.sub(ops.one, ops.one)
-    C = [ops.one]
-    B = [ops.one]
+    one = s[0].ctx.one()
+    zero = s[0].ctx.zero()
+    C = [one]
+    B = [one]
     L, m = 0, 1
-    b = ops.one
+    b = one
     for n in range(len(s)):
         d = s[n]
         for i in range(1, L + 1):
-            d = ops.add(d, ops.mul(C[i], s[n - i]))
+            d = d + C[i] * s[n - i]
         if d == zero:
             m += 1
             continue
-        coef = ops.mul(d, ops.inv(b))
+        coef = d * inv0(b)
+        T = list(C)
+        C = C + [zero] * (len(B) + m - len(C))
+        for i, bv in enumerate(B):
+            C[i + m] = C[i + m] - coef * bv
         if 2 * L <= n:
-            T = list(C)
-            C = C + [zero] * (len(B) + m - len(C))
-            for i, bv in enumerate(B):
-                C[i + m] = ops.sub(C[i + m], ops.mul(coef, bv))
             L = n + 1 - L
             B = T
             b = d
             m = 1
         else:
-            C = C + [zero] * (len(B) + m - len(C))
-            for i, bv in enumerate(B):
-                C[i + m] = ops.sub(C[i + m], ops.mul(coef, bv))
             m += 1
+    return L
+
+
+def berlekamp_massey_rows(t: ff.FieldTables, S) -> np.ndarray:
+    """Linear complexity of every row of S, an (R, N) array of element indices.
+
+    Berlekamp-Massey (Massey 1969) on all rows in lockstep: each row keeps
+    its own L, m, b and connection polynomials C, B (index rows of width
+    N + 1), and every update applies under the mask of the rows it
+    concerns.  Since deg C <= L, the discrepancy of step n needs only
+    C_1..C_K, K = min(n, max L); it is summed over prime-field components,
+    (elems[s_n] + sum_i elems[mul[C_i, s_(n-i)]]) mod p.
+    """
+    S = np.asarray(S, dtype=np.int32)
+    R, N = S.shape
+    if N == 0:
+        raise EmptySequence("berlekamp_massey needs at least one term")
+    one = t.emb[1]
+    C = np.zeros((R, N + 1), dtype=np.int32)
+    C[:, 0] = one
+    B = C.copy()
+    L = np.zeros(R, dtype=np.int64)
+    m = np.ones(R, dtype=np.int64)
+    b = np.full(R, one, dtype=np.int32)
+    cols = np.arange(N + 1)
+    for n in range(N):
+        K = min(n, int(L.max(initial=0)))
+        comps = t.elems[S[:, n]]
+        if K:
+            prods = t.mul[C[:, 1:K + 1], S[:, n - 1::-1][:, :K]]
+            comps = comps + t.elems[prods].sum(axis=1)
+        d = ((comps % t.p) @ t.place).astype(np.int32)
+        r = np.flatnonzero(d)
+        if len(r):
+            coef = t.mul[d[r], t.inv0[b[r]]]
+            shift = cols[None, :] - m[r][:, None]  # C -= coef * x^m B
+            Bs = np.where(shift >= 0, np.take_along_axis(B[r], np.maximum(shift, 0), axis=1), 0)
+            Cr = C[r]
+            C[r] = t.add[Cr, t.neg[t.mul[coef[:, None], Bs]]]
+            longer = 2 * L[r] <= n
+            grow = r[longer]
+            B[grow] = Cr[longer]
+            b[grow] = d[grow]
+            L[grow] = n + 1 - L[grow]
+            m[grow] = 0
+        m += 1
     return L
 
 
@@ -121,17 +126,19 @@ def folded_weight(f: Poly) -> int:
     return w
 
 
-def blahut_check(f: Poly, fold: bool = True,
-                 cap: int = BLAHUT_CAP) -> tuple[int, int, bool]:
+def blahut_check(f: Poly, fold: bool = True) -> tuple[int, int, bool]:
     """(linear complexity, folded weight, equal?) for s_n = f(alpha^n).
 
-    fold=False compares against the raw weight instead, exposing the
-    mismatch for polynomials with an x^(q-1) term.
+    The linear complexity comes from the sequence alone, through its value
+    table on index tables.  fold=False compares against the raw weight
+    instead, exposing the mismatch for polynomials with an x^(q-1) term.
     """
     ctx = f.ctx
-    if ctx.q > cap:
-        raise FieldTooLarge(f"q = {ctx.q} exceeds cap {cap}")
-    seq = sequence_from_poly(f)
-    lc = berlekamp_massey(seq.doubled())
+    if ctx.q > BLAHUT_CAP:
+        raise FieldTooLarge(f"q = {ctx.q} exceeds cap {BLAHUT_CAP}")
+    t = ff.tables(ctx)
+    row = np.array([[ctx.index_of(c) for c in f.coeffs]], dtype=np.int32)
+    s = t.batch_eval(row)[:, t.exp]
+    lc = int(berlekamp_massey_rows(t, np.hstack([s, s]))[0])
     w = folded_weight(f) if fold else weight(f)
     return lc, w, lc == w

@@ -289,17 +289,11 @@ def check_10(seed: int = DEFAULT_SEED, **kw) -> tuple[bool, str]:
 def _blahut_batch(t, coeff_rows, table_rows) -> tuple[int, int]:
     """(agreeing, total) for lc(s) == folded weight, via index tables."""
     q = t.q
-    ops = ff.TableOps(t)
-    order = t.exp  # s_n = f(alpha^n) = table[exp[n]]
     fw = (np.count_nonzero(coeff_rows[:, 1:q - 1], axis=1)
           + (t.add[coeff_rows[:, 0], coeff_rows[:, q - 1]] != 0))
-    ok = 0
-    for r in range(len(coeff_rows)):
-        s = table_rows[r][order].tolist()
-        lc = lco.berlekamp_massey(s + s, ops)
-        if lc == int(fw[r]):
-            ok += 1
-    return ok, len(coeff_rows)
+    s = table_rows[:, t.exp]  # s_n = f(alpha^n) = table[exp[n]]
+    lc = lco.berlekamp_massey_rows(t, np.hstack([s, s]))
+    return int((lc == fw).sum()), len(coeff_rows)
 
 
 def check_11(**kw) -> tuple[bool, str]:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from ffperm import lincomp as lc
 from ffperm.errors import EmptySequence, FieldTooLarge
 from ffperm.gf import make_field
 from ffperm.polyring import Poly, reduce_mod_xq_x
+from test_fastfield import FIELDS
 
 
 def fes(ctx, values):
@@ -51,12 +53,37 @@ def test_bm_scaling_invariance():
         assert lc.berlekamp_massey(scaled) == base
 
 
-def test_bm_table_ops_backend():
-    ctx = make_field(5)
-    ops = ff.TableOps(ff.tables(ctx))
-    s = fes(ctx, [1, 3, 2, 4, 0, 1, 3, 2])
-    si = [ctx.index_of(v) for v in s]
-    assert lc.berlekamp_massey(si, ops) == lc.berlekamp_massey(s)
+def _bm_rows_cases(t, rng):
+    """Rows by length: random rows, and rows whose discrepancy stays zero
+    for long runs (all-zero prefixes, constant rows, geometric rows)."""
+    q = t.q
+    N = 2 * (q - 1) + 3
+    rows = [[rng.randrange(q) for _ in range(N)] for _ in range(40)]
+    for z in (N, N - 1, N // 2, 1):
+        rows.append([0] * z + [rng.randrange(q) for _ in range(N - z)])
+    rows += [[c] * N for c in range(q)]
+    for a in range(1, q):
+        c = rng.randrange(1, q)
+        geo = []
+        for _ in range(N):
+            geo.append(c)
+            c = int(t.mul[c, a])
+        rows.append(geo)
+    return rows
+
+
+@pytest.mark.parametrize("p,n", FIELDS)
+def test_bm_rows_against_scalar(p, n):
+    ctx = make_field(p, n)
+    t = ff.tables(ctx)
+    rng = random.Random(p * 100 + n)
+    rows = _bm_rows_cases(t, rng)
+    for S in (np.array(rows), np.array(rows)[:, :1]):
+        got = lc.berlekamp_massey_rows(t, S)
+        want = [lc.berlekamp_massey([ctx.el_at(int(i)) for i in row]) for row in S]
+        assert got.tolist() == want
+    with pytest.raises(EmptySequence):
+        lc.berlekamp_massey_rows(t, np.zeros((3, 0), dtype=np.int32))
 
 
 def test_blahut_frozen_examples():
@@ -89,13 +116,19 @@ def test_blahut_random_polynomials():
         for _ in range(40):
             f = Poly(ctx, tuple(ctx.el_at(random.randrange(ctx.q))
                                 for _ in range(ctx.q)))
-            assert lc.blahut_check(f)[2]
+            lcv, _, eq = lc.blahut_check(f)
+            assert eq
+            assert lcv == lc.berlekamp_massey(lc.sequence_from_poly(f) * 2)
 
 
 def test_blahut_cap():
-    ctx = make_field(5)
+    ok = Poly.from_coeffs(make_field(2, 9), [0, 1])
+    assert lc.blahut_check(ok) == (1, 1, True)
+    ctx = make_field(521)
+    f = Poly.from_coeffs(ctx, [0, 1])
     with pytest.raises(FieldTooLarge):
-        lc.blahut_check(Poly.from_coeffs(ctx, [0, 1]), cap=3)
+        lc.blahut_check(f)
+    assert ctx._tables is None  # refused before any O(q^2) work
 
 
 def test_lc_at_most_period():
