@@ -54,8 +54,8 @@ def test_bm_scaling_invariance():
 
 
 def _bm_rows_cases(t, rng):
-    """Rows by length: random rows, and rows whose discrepancy stays zero
-    for long runs (all-zero prefixes, constant rows, geometric rows)."""
+    """Rows of one length: random rows, and rows whose discrepancy stays
+    zero for long runs (all-zero prefixes, constant rows, geometric rows)."""
     q = t.q
     N = 2 * (q - 1) + 3
     rows = [[rng.randrange(q) for _ in range(N)] for _ in range(40)]
