@@ -287,4 +287,3 @@ def degree_rows(coeff_rows: np.ndarray) -> np.ndarray:
     deg = q - 1 - first
     deg[~nz.any(axis=1)] = -1
     return deg
-
