@@ -21,8 +21,7 @@ from . import fastfield as ff
 from .errors import (BadChain, BadParam, BadRange, EvenCharacteristic,
                      FieldTooLarge, NotPermutation)
 from .gf import Fe, FieldCtx, inv0, make_field
-from .polyring import (Poly, ValueTable, _pow_reduce, degree, eval_table,
-                       interpolate, reduce_mod_xq_x, weight)
+from .polyring import Poly, _pow_reduce, degree, reduce_mod_xq_x, weight
 
 __all__ = [
     "Chain", "MobiusMap", "RankReport", "INFINITY", "expand_chain",
@@ -130,14 +129,19 @@ def _chain_value(ch: Chain, x: Fe) -> Fe:
     return v
 
 
+def _poly_of_row(ctx: FieldCtx, row) -> Poly:
+    return Poly(ctx, tuple(ctx.el_at(int(i)) for i in row))
+
+
 def expand_chain(ch: Chain) -> Poly:
     """Reduced polynomial of the chain; always a permutation polynomial.
 
-    Evaluates with inv0 at every point and interpolates.
+    The one row of fastfield.chain_coeff_rows: the chain's value table on
+    index tables, interpolated by the explicit matrix.
     """
     ctx = ch.ctx
-    vt = ValueTable(ctx, tuple(_chain_value(ch, ctx.el_at(i)) for i in range(ctx.q)))
-    return interpolate(vt)
+    cols = [[ctx.index_of(a)] for a in ch.a]
+    return _poly_of_row(ctx, ff.chain_coeff_rows(ff.tables(ctx), cols)[0])
 
 
 def expand_chain_by_powers(ch: Chain) -> Poly:
@@ -207,8 +211,7 @@ def rank2_coeffs(a0: Fe, a1: Fe, a2: Fe, a3: Fe) -> Poly:
         raise BadParam("a2 must be nonzero")
     ctx = a0.ctx
     cols = ([ctx.index_of(a)] for a in (a0, a1, a2, a3))
-    row = ff.rank2_coeff_rows(ff.tables(ctx), *cols)[0]
-    return Poly(ctx, tuple(ctx.el_at(int(i)) for i in row))
+    return _poly_of_row(ctx, ff.rank2_coeff_rows(ff.tables(ctx), *cols)[0])
 
 
 def rank2_piecewise_eval(a1: Fe, a2: Fe, a3: Fe, x: Fe) -> Fe:
@@ -257,76 +260,50 @@ def rank1_weight(a0: Fe, a1: Fe, a2: Fe) -> tuple[Poly, int]:
 # ---------------------------------------------------------------------------
 # rank detection up to 2
 
-def _reproduces(ch: Chain, table: ValueTable) -> bool:
-    """Whether the chain takes the table's values, stopping at the first miss."""
-    ctx = ch.ctx
-    return all(_chain_value(ch, ctx.el_at(i)) == v for i, v in enumerate(table.values))
-
-
-def _permutation_table(f: Poly) -> ValueTable:
-    table = eval_table(f)
-    if len(set(table.values)) != f.ctx.q:
+def _permutation_table(f: Poly) -> np.ndarray:
+    vals = ff.value_table(f)
+    if not ff.permutes(vals):
         raise NotPermutation("rank is defined for permutation polynomials only")
-    return table
+    return vals
 
 
-def _linear_witness(table: ValueTable) -> Chain | None:
-    ctx = table.ctx
-    b = table.values[0]  # f(0); enumeration index 0 is the zero element
-    a = table.values[ctx.index_of(ctx.one())] - b
-    if not a:
+def _first_match(t: ff.FieldTables, cols, vals: np.ndarray, rank: int) -> RankReport | None:
+    """The first chain among the parameter columns cols whose value table
+    is vals, as a rank report, or None."""
+    hits = np.flatnonzero((ff.chain_value_tables(t, cols) == vals).all(axis=1))
+    if not len(hits):
         return None
-    ch = Chain(ctx, (a, b))
-    return ch if _reproduces(ch, table) else None
+    return RankReport(rank, Chain(t.ctx, tuple(t.ctx.el_at(int(a[hits[0]])) for a in cols)))
 
 
-def _mobius_through(pts: list[tuple[Fe, Fe]]) -> tuple[Fe, Fe, Fe, Fe]:
-    """The Mobius map (A, B, C, D) through three points (distinct x, distinct y).
+def _linear_witness(t: ff.FieldTables, vals: np.ndarray) -> RankReport | None:
+    b = vals[0]  # f(0); enumeration index 0 is the zero element
+    a = t.add[vals[t.emb[1]], t.neg[b]]
+    return _first_match(t, [[a], [b]], vals, 0) if a else None
 
+
+def _mobius_through(t: ff.FieldTables, x: np.ndarray, y: np.ndarray):
+    """Index columns (A, B, C, D) of the Mobius maps through three points per row.
+
+    x and y are (m, 3) index arrays, distinct within each row.
     S_x = [[x3-x2, -x1(x3-x2)], [x3-x1, -x2(x3-x1)]] sends x1, x2, x3 to
     0, INFINITY, 1; S_y does the same for the y values, so adj(S_y) S_x
     sends each x_i to y_i.
     """
-    (x1, y1), (x2, y2), (x3, y3) = pts
-    a, b, c, d = x3 - x2, -x1 * (x3 - x2), x3 - x1, -x2 * (x3 - x1)
-    e, f, g, h = y3 - y2, -y1 * (y3 - y2), y3 - y1, -y2 * (y3 - y1)
+    add, mul, neg = t.add, t.mul, t.neg
+
+    def sub(u, v):
+        return add[u, neg[v]]
+
+    def to_0_inf_1(p1, p2, p3):
+        u, w = sub(p3, p2), sub(p3, p1)
+        return u, neg[mul[p1, u]], w, neg[mul[p2, w]]
+
+    a, b, c, d = to_0_inf_1(*x.T)
+    e, f, g, h = to_0_inf_1(*y.T)
     # adj(S_y) = [[h, -f], [-g, e]]
-    return h * a - f * c, h * b - f * d, e * c - g * a, e * d - g * b
-
-
-def _normalize_mobius(m):
-    iv = inv0(next(v for v in m if v))
-    return tuple((iv * w).coeffs for w in m)
-
-
-def _try_rank1(m, table: ValueTable) -> Chain | None:
-    A, B, C, D = m
-    if not C:
-        return None
-    b2 = A * inv0(C)
-    lam = B - D * b2
-    if not lam:
-        return None
-    ilam = inv0(lam)
-    ch = Chain(table.ctx, (C * ilam, D * ilam, b2))
-    return ch if _reproduces(ch, table) else None
-
-
-def _try_rank2(m, table: ValueTable) -> Chain | None:
-    A, B, C, D = m
-    if not C:
-        return None
-    ctx = table.ctx
-    a3 = table.values[ctx.index_of(-D * inv0(C))]  # the value at the convergent's pole
-    num = C * a3 - A
-    if not num:
-        return None
-    den = C * B - D * A
-    if not den:
-        return None
-    mu = num * inv0(den)
-    ch = Chain(ctx, (-mu * num, mu * (B - D * a3), -C * inv0(num), a3))
-    return ch if _reproduces(ch, table) else None
+    return (sub(mul[h, a], mul[f, c]), sub(mul[h, b], mul[f, d]),
+            sub(mul[e, c], mul[g, a]), sub(mul[e, d], mul[g, b]))
 
 
 def rank_enumerate(f: Poly) -> RankReport:
@@ -337,20 +314,17 @@ def rank_enumerate(f: Poly) -> RankReport:
     the first equal to f's is the witness.  The length-2 tables take
     (q-1)^2 q^3 entries, so small q only (FieldTooLarge from q = 41).
     """
-    ctx = f.ctx
-    table = _permutation_table(f)
-    lin = _linear_witness(table)
+    vals = _permutation_table(f)
+    t = ff.tables(f.ctx)
+    lin = _linear_witness(t, vals)
     if lin is not None:
-        return RankReport(0, lin)
-    t = ff.tables(ctx)
-    q = ctx.q
-    target = np.array([ctx.index_of(v) for v in table.values], dtype=np.int32)
+        return lin
+    q = t.q
     for n in (1, 2):
         ff.check_bytes((q - 1) ** n * q ** 3 * 4, f"the length-{n} chain tables at q = {q}")
-        cols = ff.chain_grid(q, n)
-        hits = np.flatnonzero((ff.chain_value_tables(t, cols) == target).all(axis=1))
-        if len(hits):
-            return RankReport(n, Chain(ctx, tuple(ctx.el_at(int(a[hits[0]])) for a in cols)))
+        rep = _first_match(t, ff.chain_grid(q, n), vals, n)
+        if rep is not None:
+            return rep
     return RankReport(MORE_THAN_2)
 
 
@@ -362,29 +336,42 @@ def rank_upto2(f: Poly) -> RankReport:
     and some sampled triple lies on it.  PGL_2(F_q) acts sharply
     3-transitively on P^1(F_q), so each triple of graph points (distinct
     x, and distinct y because f permutes) fixes exactly one Mobius map.
-    Chain parameters are reconstructed from each candidate map and
-    checked against the value table at every point, which keeps the
-    search sound; rank_enumerate is the exhaustive oracle.
+    The maps of all (at most 35) triples are fitted at once on index
+    tables.  Chain parameters are reconstructed from each map; they do not
+    change when the map is rescaled.  The value tables of all rank-1
+    candidates, then of all rank-2 candidates, are compared with f's at
+    every point, and the first match in triple order is the witness.  This
+    keeps the search sound; rank_enumerate is the exhaustive oracle.
     """
     ctx = f.ctx
     if ctx.q > RANK_CAP_DEFAULT:
         raise FieldTooLarge(f"q = {ctx.q} exceeds cap {RANK_CAP_DEFAULT}")
-    table = _permutation_table(f)
-    lin = _linear_witness(table)
+    vals = _permutation_table(f)
+    t = ff.tables(ctx)
+    lin = _linear_witness(t, vals)
     if lin is not None:
-        return RankReport(0, lin)
+        return lin
 
-    sample = [(ctx.el_at(i), table.values[i]) for i in range(min(ctx.q, 7))]
-    # one map per trio; keys dedupe rescalings, in trio order
-    candidates = {}
-    for trio in itertools.combinations(sample, 3):
-        m = _mobius_through(trio)
-        candidates.setdefault(_normalize_mobius(m), m)
-    for try_rank, rank in ((_try_rank1, 1), (_try_rank2, 2)):
-        for m in candidates.values():
-            ch = try_rank(m, table)
-            if ch is not None:
-                return RankReport(rank, ch)
+    x = np.array(list(itertools.combinations(range(min(ctx.q, 7)), 3)),
+                 dtype=np.int32).reshape(-1, 3)
+    A, B, C, D = _mobius_through(t, x, vals[x])
+    add, mul, neg, inv = t.add, t.mul, t.neg, t.inv0
+    # rank 1: (A x + B)/(C x + D) = ((C/lam) x + D/lam)^-1 + A/C, lam = B - D A/C
+    b2 = mul[A, inv[C]]
+    lam = add[B, neg[mul[D, b2]]]
+    il = inv[lam]
+    rank1 = ([mul[C, il], mul[D, il], b2], (C != 0) & (lam != 0))
+    # rank 2: a3 is the value at the convergent's pole -D/C
+    a3 = vals[neg[mul[D, inv[C]]]]
+    num = add[mul[C, a3], neg[A]]
+    den = add[mul[C, B], neg[mul[D, A]]]
+    mu = mul[num, inv[den]]
+    rank2 = ([neg[mul[mu, num]], mul[mu, add[B, neg[mul[D, a3]]]], neg[mul[C, inv[num]]], a3],
+             (C != 0) & (num != 0) & (den != 0))
+    for rank, (cols, ok) in ((1, rank1), (2, rank2)):
+        rep = _first_match(t, [c[ok] for c in cols], vals, rank)
+        if rep is not None:
+            return rep
     return RankReport(MORE_THAN_2)
 
 
@@ -553,7 +540,6 @@ def sweep_rank2(ctx: FieldCtx) -> Rank2Sweep:
     exact = np.ones(m, dtype=bool)
     if q <= 5:
         for r in range(m):
-            poly = Poly(ctx, tuple(ctx.el_at(int(i)) for i in coeffs[r]))
-            exact[r] = rank_upto2(poly).rank_class == 2
+            exact[r] = rank_upto2(_poly_of_row(ctx, coeffs[r])).rank_class == 2
     return Rank2Sweep(ctx, a1, a2, a3, coeffs, weights, degrees,
                       case_a, case_b, gamma, exact)

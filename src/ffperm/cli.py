@@ -16,8 +16,9 @@ from . import counting as ct
 from . import lincomp as lco
 from . import verify
 from .errors import FFPermError, FieldTooLarge
+from .fastfield import permutes, value_table
 from .gf import FieldCtx, format_field_spec, make_field, parse_field_spec, primitive_element
-from .polyring import Poly, degree, is_permutation, poly_from_json, poly_to_json, weight
+from .polyring import Poly, degree, poly_from_json, poly_to_json, weight
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -48,7 +49,8 @@ def _capped(ctx: FieldCtx, cap: int) -> FieldCtx:
 
 def _chain_from_args(args) -> cz.Chain:
     """--chain over the field options, refused above the rank cap as `rank`
-    is: `expand` and `rank2-coeffs` expand it by O(q^2) scalar work."""
+    is: `expand` and `rank2-coeffs` expand it through the (q*n)^2
+    interpolation matrix."""
     ctx = _capped(_field_from_args(args), cz.RANK_CAP_DEFAULT)
     try:
         ints = [int(s) for s in args.chain.split(",")]
@@ -137,9 +139,9 @@ def cmd_rank(args) -> int:
 
 
 def cmd_weight(args) -> int:
-    f = _load_poly(args, cz.RANK_CAP_DEFAULT)  # is_permutation is O(q^2) scalar work
+    f = _load_poly(args, cz.RANK_CAP_DEFAULT)  # the permutation test builds q x q tables
     _emit({"weight": weight(f), "degree": degree(f),
-           "permutation": is_permutation(f)})
+           "permutation": permutes(value_table(f))})
     return EXIT_OK
 
 
@@ -232,7 +234,7 @@ def cmd_blahut(args) -> int:
 def cmd_example_f11(args) -> int:
     f = cz.example_fn(1 if args.n is None else args.n)
     _emit({"q": f.ctx.q, "weight": weight(f),
-           "permutation": is_permutation(f),
+           "permutation": permutes(value_table(f)),
            "sharp_bound": cz.cor_rank2_bound(f.ctx, ct.nu_p(11).nu)})
     if args.show_poly:
         print(poly_to_json(f))

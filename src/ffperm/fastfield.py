@@ -1,11 +1,13 @@
-"""Vectorized field arithmetic on element indices, for exhaustive sweeps.
+"""Vectorized field arithmetic on element indices, for sweeps and single queries.
 
 Elements of F_q are identified with their position in the fixed
 enumeration (see gf); index 0 is the zero element.  Addition and
 multiplication are q x q tables, the multiplication table built from
-discrete logs.  All batch routines here are cross-checked against the
-scalar gf/polyring/lincomp implementations in the test suite; they are
-accelerators, not a second source of truth.
+discrete logs.  Evaluation is Horner over every point at once;
+interpolation is one explicit (q*n)^2 matrix over F_p.  All batch
+routines here are cross-checked against the scalar gf/polyring/lincomp
+implementations in the test suite; they are accelerators, not a second
+source of truth.
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ class FieldTables:
         # embedded integers: index of the coefficient vector (i, 0, ..., 0)
         self.emb = (np.arange(p, dtype=np.int64) * self.place[0]).astype(np.int32)
 
-        self._eval_matrix = None
         self._interp_matrix = None
 
     # -- powers with the 0**0 = 1 convention -------------------------------
@@ -102,37 +103,12 @@ class FieldTables:
             out[:, zero_exp] = self.emb[1]
         return out
 
-    # -- linear maps over F_p ---------------------------------------------
-    def _linear_matrix(self, W: np.ndarray) -> np.ndarray:
-        """(q*n, q*n) float64 matrix of v -> (sum_c W[r, c] * v_c)_r over F_p.
-
-        W is a (q, q) array of element indices.  Component k' of
-        W[r, c] * e_k sits at row r*n + k', column c*n + k.
-        """
-        q, n = self.q, self.n
-        check_bytes((q * n) ** 2 * 8, f"a (q*n)^2 matrix at q = {q}")
-        M = np.empty((q * n, q * n), dtype=np.float64)
-        for k in range(n):
-            basis_idx = int(self.place[k])  # index of the k-th basis element
-            comps = self.elems[self.mul[W, basis_idx]]  # (q, q, n)
-            M[:, k::n] = comps.transpose(0, 2, 1).reshape(q * n, q)
-        return M
-
-    def eval_matrix(self) -> np.ndarray:
-        """(q*n, q*n) float64 matrix of evaluation as an F_p-linear map.
-
-        Flattening: coefficient of x^i, prime-field component k sits at
-        position i*n + k; value at the a-th enumerated point, component k
-        at a*n + k.
-        """
-        if self._eval_matrix is None:
-            pts = np.arange(self.q, dtype=np.int32)
-            self._eval_matrix = self._linear_matrix(self.pow_outer(pts, pts))  # a^i
-        return self._eval_matrix
-
+    # -- evaluation and interpolation -------------------------------------
     def interp_matrix(self) -> np.ndarray:
-        """(q*n, q*n) float64 matrix of interpolation, the inverse of eval_matrix.
+        """(q*n, q*n) float64 matrix of interpolation as an F_p-linear map.
 
+        Flattening: value at the a-th enumerated point, component k at
+        position a*n + k; coefficient of x^i, component k at i*n + k.
         For reduced f = sum_i c_i x^i the coefficients are
             c_0 = f(0),
             c_k = -sum_{x != 0} f(x) x^(-k)    (1 <= k <= q-2),
@@ -142,37 +118,48 @@ class FieldTables:
         sum_x f(x) = c_0 - c_0 - c_{q-1} since i = 0 and i = q-1 qualify.
         """
         if self._interp_matrix is None:
-            q = self.q
+            q, n = self.q, self.n
+            check_bytes((q * n) ** 2 * 8, f"a (q*n)^2 matrix at q = {q}")
             pts = np.arange(q, dtype=np.int32)
-            W = np.zeros((q, q), dtype=np.int32)
+            W = np.zeros((q, q), dtype=np.int32)  # c_i = sum_x W[i, x] f(x)
             W[0, 0] = self.emb[1]
             # row k: -x^(q-1-k) = -x^(-k) for x != 0, and 0 at x = 0
             W[1:q - 1] = self.neg[self.pow_outer(pts, np.arange(q - 2, 0, -1))].T
             W[q - 1] = self.neg[self.emb[1]]
-            self._interp_matrix = self._linear_matrix(W)
+            # component k' of W[i, x] * e_k sits at row i*n + k', column x*n + k
+            M = np.empty((q * n, q * n), dtype=np.float64)
+            for k in range(n):
+                comps = self.elems[self.mul[W, int(self.place[k])]]  # (q, q, n)
+                M[:, k::n] = comps.transpose(0, 2, 1).reshape(q * n, q)
+            self._interp_matrix = M
         return self._interp_matrix
 
-    def _apply_linear(self, rows_idx: np.ndarray, M: np.ndarray) -> np.ndarray:
-        """Apply an F_p-linear map (given as float matrix) to index rows."""
-        m, q = rows_idx.shape
-        n = self.n
-        out = np.empty_like(rows_idx)
-        chunk = max(1, ROW_BLOCK // (q * n))
-        for s in range(0, m, chunk):
-            comps = self.elems[rows_idx[s:s + chunk]]          # (c, q, n)
-            flat = comps.reshape(len(comps), q * n).astype(np.float64)
-            res = (flat @ M.T) % self.p
-            res = res.astype(np.int64).reshape(len(comps), q, n)
-            out[s:s + chunk] = (res @ self.place).astype(rows_idx.dtype)
-        return out
-
     def batch_eval(self, coeff_rows: np.ndarray) -> np.ndarray:
-        """Value tables of reduced coefficient rows (indices in, indices out)."""
-        return self._apply_linear(coeff_rows, self.eval_matrix())
+        """Value tables of reduced coefficient rows (indices in, indices out).
+
+        Horner at every point at once: v <- v * x + c_i for i = q-1 .. 0.
+        """
+        coeff_rows = np.asarray(coeff_rows, dtype=np.int32)
+        pts = np.arange(self.q)
+        v = np.zeros(coeff_rows.shape, dtype=np.int32)
+        for i in range(self.q - 1, -1, -1):
+            v = self.add[self.mul[v, pts], coeff_rows[:, i, None]]
+        return v
 
     def batch_interp(self, table_rows: np.ndarray) -> np.ndarray:
         """Reduced coefficients of value-table rows (indices in, indices out)."""
-        return self._apply_linear(table_rows, self.interp_matrix())
+        M = self.interp_matrix()
+        m, q = table_rows.shape
+        n = self.n
+        out = np.empty_like(table_rows)
+        chunk = max(1, ROW_BLOCK // (q * n))
+        for s in range(0, m, chunk):
+            comps = self.elems[table_rows[s:s + chunk]]          # (c, q, n)
+            flat = comps.reshape(len(comps), q * n).astype(np.float64)
+            res = (flat @ M.T) % self.p
+            res = res.astype(np.int64).reshape(len(comps), q, n)
+            out[s:s + chunk] = (res @ self.place).astype(table_rows.dtype)
+        return out
 
 
 def tables(ctx: FieldCtx) -> FieldTables:
@@ -180,6 +167,20 @@ def tables(ctx: FieldCtx) -> FieldTables:
     if ctx._tables is None:
         ctx._tables = FieldTables(ctx)
     return ctx._tables
+
+
+def value_table(f) -> np.ndarray:
+    """Values of a reduced polynomial f (a polyring.Poly) at the enumerated
+    points, as element indices."""
+    ctx = f.ctx
+    row = np.array([[ctx.index_of(c) for c in f.coeffs]], dtype=np.int32)
+    return tables(ctx).batch_eval(row)[0]
+
+
+def permutes(values: np.ndarray) -> bool:
+    """Whether an index value table takes every value once; with value_table
+    this is the permutation test, and polyring.is_permutation its oracle."""
+    return len(np.unique(values)) == len(values)
 
 
 def chain_value_tables(t: FieldTables, a_list: list[np.ndarray]) -> np.ndarray:

@@ -75,45 +75,41 @@ def berlekamp_massey_rows(t: ff.FieldTables, S) -> np.ndarray:
     """Linear complexity of every row of S, an (R, N) array of element indices.
 
     Berlekamp-Massey (Massey 1969) on all rows in lockstep: each row keeps
-    its own L, m, b and connection polynomials C, B (index rows of width
-    N + 1), and every update applies under the mask of the rows it
-    concerns.  Since deg C <= L, the discrepancy of step n needs only
-    C_1..C_K, K = min(n, max L); it is summed over prime-field components,
-    (elems[s_n] + sum_i elems[mul[C_i, s_(n-i)]]) mod p.
+    its own L, b and connection polynomial C, and x^m B in place of B and
+    its step count m (index rows of width N + 2), and every update applies
+    under the mask of the rows it concerns.  At step n both C and x^m B
+    have degree <= n + 1.  Since deg C <= L, the discrepancy of step n needs
+    only C_0..C_K, K = min(n, max L); it is summed over prime-field
+    components, (sum_i elems[mul[C_i, s_(n-i)]]) mod p.
     """
     S = np.asarray(S, dtype=np.int32)
     R, N = S.shape
     if N == 0:
         raise EmptySequence("berlekamp_massey needs at least one term")
     one = t.emb[1]
-    C = np.zeros((R, N + 1), dtype=np.int32)
+    C = np.zeros((R, N + 2), dtype=np.int32)
     C[:, 0] = one
-    B = C.copy()
+    xB = np.zeros_like(C)
+    xB[:, 1] = one  # x^1 * 1
     L = np.zeros(R, dtype=np.int64)
-    m = np.ones(R, dtype=np.int64)
     b = np.full(R, one, dtype=np.int32)
-    cols = np.arange(N + 1)
     for n in range(N):
         K = min(n, int(L.max(initial=0)))
-        comps = t.elems[S[:, n]]
-        if K:
-            prods = t.mul[C[:, 1:K + 1], S[:, n - 1::-1][:, :K]]
-            comps = comps + t.elems[prods].sum(axis=1)
-        d = ((comps % t.p) @ t.place).astype(np.int32)
+        prods = t.mul[C[:, :K + 1], S[:, n::-1][:, :K + 1]]
+        d = ((t.elems[prods].sum(axis=1) % t.p) @ t.place).astype(np.int32)
         r = np.flatnonzero(d)
+        w = n + 2
         if len(r):
             coef = t.mul[d[r], t.inv0[b[r]]]
-            shift = cols[None, :] - m[r][:, None]  # C -= coef * x^m B
-            Bs = np.where(shift >= 0, np.take_along_axis(B[r], np.maximum(shift, 0), axis=1), 0)
-            Cr = C[r]
-            C[r] = t.add[Cr, t.neg[t.mul[coef[:, None], Bs]]]
+            Cr = C[r, :w]
+            C[r, :w] = t.add[Cr, t.neg[t.mul[coef[:, None], xB[r, :w]]]]  # C -= coef x^m B
             longer = 2 * L[r] <= n
             grow = r[longer]
-            B[grow] = Cr[longer]
+            xB[grow, :w] = Cr[longer]  # B = old C, m = 0
             b[grow] = d[grow]
             L[grow] = n + 1 - L[grow]
-            m[grow] = 0
-        m += 1
+        xB[:, 1:w + 1] = xB[:, :w]  # m += 1
+        xB[:, 0] = 0
     return L
 
 
@@ -129,16 +125,17 @@ def folded_weight(f: Poly) -> int:
 def blahut_check(f: Poly, fold: bool = True) -> tuple[int, int, bool]:
     """(linear complexity, folded weight, equal?) for s_n = f(alpha^n).
 
-    The linear complexity comes from the sequence alone, through its value
-    table on index tables.  fold=False compares against the raw weight
-    instead, exposing the mismatch for polynomials with an x^(q-1) term.
+    The linear complexity comes from the sequence alone: f's value table
+    by Horner on index tables, read at the powers of alpha, then
+    berlekamp_massey_rows on two periods.  fold=False compares against the
+    raw weight instead, exposing the mismatch for polynomials with an
+    x^(q-1) term.
     """
     ctx = f.ctx
     if ctx.q > BLAHUT_CAP:
         raise FieldTooLarge(f"q = {ctx.q} exceeds cap {BLAHUT_CAP}")
     t = ff.tables(ctx)
-    row = np.array([[ctx.index_of(c) for c in f.coeffs]], dtype=np.int32)
-    s = t.batch_eval(row)[:, t.exp]
-    lc = int(berlekamp_massey_rows(t, np.hstack([s, s]))[0])
+    s = ff.value_table(f)[t.exp]
+    lc = int(berlekamp_massey_rows(t, np.concatenate([s, s])[None])[0])
     w = folded_weight(f) if fold else weight(f)
     return lc, w, lc == w

@@ -2,8 +2,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import ffperm.fastfield as ff
 from ffperm import carlitz as cz
 from ffperm.errors import (BadChain, BadParam, BadRange, EvenCharacteristic,
                            FieldTooLarge, NotPermutation)
@@ -151,12 +153,36 @@ def test_mobius_through_fits_three_points():
     random.seed(3)
     for p, n in [(7, 1), (3, 2), (5, 2)]:
         ctx = make_field(p, n)
-        for _ in range(30):
-            xs = [ctx.el_at(i) for i in random.sample(range(ctx.q), 3)]
-            ys = [ctx.el_at(i) for i in random.sample(range(ctx.q), 3)]
-            A, B, C, D = cz._mobius_through(list(zip(xs, ys)))
+        t = ff.tables(ctx)
+        x = np.array([random.sample(range(ctx.q), 3) for _ in range(30)], dtype=np.int32)
+        y = np.array([random.sample(range(ctx.q), 3) for _ in range(30)], dtype=np.int32)
+        cols = cz._mobius_through(t, x, y)
+        for r in range(30):
+            A, B, C, D = (ctx.el_at(int(c[r])) for c in cols)
             mob = cz.MobiusMap(ctx, (A, B), (C, D))
-            assert [mob(x) for x in xs] == ys
+            assert [mob(ctx.el_at(int(i))) for i in x[r]] == [ctx.el_at(int(i)) for i in y[r]]
+
+
+@pytest.mark.parametrize("p", [7, 53, 73])
+def test_rank_witnesses_above_the_enumeration_cap(p):
+    """q = 49, 53, 73: rank_enumerate refuses these, so each witness is
+    checked against f by scalar evaluation instead."""
+    rng = random.Random(p)
+    ctx = make_field(p, 2 if p == 7 else 1)
+    q = ctx.q
+    for L in (0, 1, 2, 3):
+        for _ in range(3):
+            a = [rng.randrange(1, q), rng.randrange(q)]
+            if L:
+                a += [rng.randrange(1, q) for _ in range(L - 1)] + [rng.randrange(q)]
+            f = cz.expand_chain(cz.Chain(ctx, tuple(ctx.el_at(v) for v in a)))
+            rep = cz.rank_upto2(f)
+            assert rep.rank_class <= L
+            if rep.witness is None:  # length 3, more than 2
+                assert rep.rank_class == cz.MORE_THAN_2
+                continue
+            values = tuple(cz._chain_value(rep.witness, ctx.el_at(i)) for i in range(q))
+            assert values == eval_table(f).values
 
 
 def test_every_f5_permutation_has_rank_at_most_one():

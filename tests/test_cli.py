@@ -66,6 +66,19 @@ def test_weight_of_zero_poly(capsys):
     assert json.loads(out)["weight"] == 0
 
 
+def test_permutation_test_on_index_tables(capsys):
+    x2 = '{"field": "p=5", "coeffs": [0, 0, 1]}'
+    code, out = run(capsys, "weight", "--poly", x2)
+    assert code == 0 and json.loads(out)["permutation"] is False
+    assert main(["rank", "--poly", x2]) == 2
+    err = capsys.readouterr().err
+    assert "NotPermutation" in err and "Traceback" not in err
+    # x^7 + a x^3 + 1 over F_9 permutes, which needs the n > 1 index mapping
+    code, out = run(capsys, "weight", "--poly",
+                    '{"field": "p=3,n=2", "coeffs": [1, 0, 0, [0, 1], 0, 0, 0, 1]}')
+    assert code == 0 and json.loads(out)["permutation"] is True
+
+
 def test_nu_p_11(capsys):
     code, out = run(capsys, "nu-p", "--p", "11")
     assert code == 0

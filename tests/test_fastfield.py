@@ -8,7 +8,7 @@ import pytest
 import ffperm.fastfield as ff
 from ffperm.errors import FieldTooLarge
 from ffperm.gf import inv0, make_field
-from ffperm.polyring import Poly, eval_table, interpolate, ValueTable
+from ffperm.polyring import Poly, eval_table, interpolate, is_permutation, ValueTable
 
 FIELDS = [(2, 1), (5, 1), (3, 2), (5, 2), (11, 1), (2, 3)]
 
@@ -49,20 +49,32 @@ def test_batch_eval_matches_scalar(p, n):
         f = Poly(ctx, tuple(ctx.el_at(int(i)) for i in rows[r]))
         expect = [ctx.index_of(v) for v in eval_table(f).values]
         assert tabs[r].tolist() == expect
-    # interpolation inverts evaluation on the whole space
-    prod = (t.interp_matrix() @ t.eval_matrix()) % p
-    assert (prod == np.eye(q * n)).all()
+    # interpolation and evaluation invert each other
     assert (t.batch_interp(tabs) == rows).all()
-    # and agrees with scalar Lagrange interpolation on arbitrary tables
     vals = rng.integers(0, q, size=(8, q)).astype(np.int32)
     coeffs = t.batch_interp(vals)
+    assert (t.batch_eval(coeffs) == vals).all()
+    # and interpolation agrees with scalar Lagrange interpolation on arbitrary tables
     for r in range(len(vals)):
         f = interpolate(ValueTable(ctx, tuple(ctx.el_at(int(i)) for i in vals[r])))
         assert coeffs[r].tolist() == [ctx.index_of(c) for c in f.coeffs]
 
 
+@pytest.mark.parametrize("p,n", FIELDS)
+def test_permutation_test_matches_scalar(p, n):
+    ctx = make_field(p, n)
+    q = ctx.q
+    rng = np.random.default_rng(q + 1)
+    perms = [rng.permutation(q) for _ in range(4)]
+    tables = perms + [rng.integers(0, q, q) for _ in range(4)]
+    for vals in tables:
+        f = interpolate(ValueTable(ctx, tuple(ctx.el_at(int(i)) for i in vals)))
+        assert ff.value_table(f).tolist() == [ctx.index_of(v) for v in eval_table(f).values]
+        assert ff.permutes(ff.value_table(f)) == is_permutation(f)
+
+
 def test_chain_value_tables_match_scalar():
-    from ffperm.carlitz import Chain, expand_chain
+    from ffperm.carlitz import Chain, expand_chain_by_powers
     ctx = make_field(7)
     t = ff.tables(ctx)
     q = ctx.q
@@ -70,7 +82,7 @@ def test_chain_value_tables_match_scalar():
          np.array([4], np.int32), np.array([2], np.int32)]
     tabs = ff.chain_value_tables(t, a)
     ch = Chain(ctx, tuple(ctx.el_at(int(v[0])) for v in a))
-    expect = [ctx.index_of(v) for v in eval_table(expand_chain(ch)).values]
+    expect = [ctx.index_of(v) for v in eval_table(expand_chain_by_powers(ch)).values]
     assert tabs[0].tolist() == expect
     # the grid of every length-n chain, in itertools.product order
     units, full = range(1, q), range(q)
@@ -81,7 +93,7 @@ def test_chain_value_tables_match_scalar():
 
 
 def test_rank2_coeff_rows_match_scalar():
-    from ffperm.carlitz import Chain, expand_chain
+    from ffperm.carlitz import Chain, expand_chain_by_powers
     for p, n in [(5, 1), (3, 2), (7, 1)]:
         ctx = make_field(p, n)
         t = ff.tables(ctx)
@@ -95,7 +107,8 @@ def test_rank2_coeff_rows_match_scalar():
         rows = ff.rank2_coeff_rows(t, a0, a1, a2, a3)
         for r in range(m):
             ch = Chain(ctx, tuple(ctx.el_at(int(a[r])) for a in (a0, a1, a2, a3)))
-            assert rows[r].tolist() == [ctx.index_of(c) for c in expand_chain(ch).coeffs]
+            expect = expand_chain_by_powers(ch).coeffs
+            assert rows[r].tolist() == [ctx.index_of(c) for c in expect]
 
 
 def test_weight_and_degree_rows():
