@@ -65,12 +65,12 @@ def test_permutation_test_matches_scalar(p, n):
     ctx = make_field(p, n)
     q = ctx.q
     rng = np.random.default_rng(q + 1)
-    perms = [rng.permutation(q) for _ in range(4)]
-    tables = perms + [rng.integers(0, q, q) for _ in range(4)]
-    for vals in tables:
-        f = interpolate(ValueTable(ctx, tuple(ctx.el_at(int(i)) for i in vals)))
-        assert ff.value_table(f).tolist() == [ctx.index_of(v) for v in eval_table(f).values]
-        assert ff.permutes(ff.value_table(f)) == is_permutation(f)
+    rows = [rng.permutation(q) for _ in range(4)] + [rng.integers(0, q, q) for _ in range(4)]
+    for row in rows:
+        f = interpolate(ValueTable(ctx, tuple(ctx.el_at(int(i)) for i in row)))
+        vals = ff.value_table(f)
+        assert vals.tolist() == [ctx.index_of(v) for v in eval_table(f).values]
+        assert ff.permutes(vals) == is_permutation(f)
 
 
 def test_chain_value_tables_match_scalar():
