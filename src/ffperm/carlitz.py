@@ -26,7 +26,7 @@ from .polyring import Poly, _pow_reduce, degree, reduce_mod_xq_x, weight
 __all__ = [
     "Chain", "MobiusMap", "RankReport", "INFINITY", "expand_chain",
     "expand_chain_by_powers", "convergents", "agreement_check", "rank2_coeffs",
-    "rank2_piecewise_eval", "rank1_weight", "rank1_weight_class", "rank_upto2",
+    "rank2_piecewise_eval", "rank1_weight", "rank_upto2",
     "rank_enumerate", "thm_rank2_bound", "cor_rank2_bound", "got_bounds",
     "degree_rank_check", "example_fn", "sweep_rank1", "sweep_rank2",
 ]
@@ -234,16 +234,18 @@ def rank2_piecewise_eval(a1: Fe, a2: Fe, a3: Fe, x: Fe) -> Fe:
 # ---------------------------------------------------------------------------
 # rank-1 weights
 
-def rank1_weight_class(ctx: FieldCtx, a1: Fe, a2: Fe) -> int:
-    """Predicted weight of (a0 x + a1)^(q-2) + a2 (independent of a0)."""
-    if ctx.p == 2:
-        raise EvenCharacteristic("rank-1 weight classes need odd p")
-    q, p = ctx.q, ctx.p
-    if not a1:
-        return 1 if not a2 else 2
-    if a2 == -inv0(a1):  # a1^(q-2) is the inverse of a1 here (a1 != 0)
-        return q - q // p - 1
-    return q - q // p
+def _rank1_classes(t: ff.FieldTables, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """Predicted weight of (a0 x + a1)^(q-2) + a2 per row (independent of a0).
+
+    1 for a1 = a2 = 0, 2 for a1 = 0 != a2, q - q/p - 1 for a2 = -a1^-1,
+    and q - q/p otherwise; odd p.
+    """
+    q, p = t.q, t.p
+    pred = np.full(len(a1), q - q // p, dtype=np.int64)
+    pred[(a1 != 0) & (a2 == t.neg[t.inv0[a1]])] = q - q // p - 1
+    pred[(a1 == 0) & (a2 != 0)] = 2
+    pred[(a1 == 0) & (a2 == 0)] = 1
+    return pred
 
 
 def rank1_weight(a0: Fe, a1: Fe, a2: Fe) -> tuple[Poly, int]:
@@ -254,7 +256,9 @@ def rank1_weight(a0: Fe, a1: Fe, a2: Fe) -> tuple[Poly, int]:
     if ctx.p == 2:
         raise EvenCharacteristic("rank-1 weight classification needs odd p")
     poly = expand_chain(Chain(ctx, (a0, a1, a2)))
-    return poly, rank1_weight_class(ctx, a1, a2)
+    cls = _rank1_classes(ff.tables(ctx), np.array([ctx.index_of(a1)]),
+                         np.array([ctx.index_of(a2)]))
+    return poly, int(cls[0])
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +450,6 @@ class Rank1Sweep:
     ctx: FieldCtx
     weights: np.ndarray        # (m,) actual weights via evaluate+interpolate
     predicted: np.ndarray      # (m,) four-way classification
-    a0_idx: np.ndarray
-    a1_idx: np.ndarray
-    a2_idx: np.ndarray
 
     @property
     def mismatches(self) -> np.ndarray:
@@ -462,18 +463,12 @@ class Rank1Sweep:
 def sweep_rank1(ctx: FieldCtx) -> Rank1Sweep:
     if ctx.p == 2:
         raise EvenCharacteristic("rank-1 sweep checks an odd-p theorem")
-    q, p = ctx.q, ctx.p
+    q = ctx.q
     ff.check_bytes((q - 1) * q * q * q * 4, f"the rank-1 sweep table at q = {q}")
     t = ff.tables(ctx)
-    a0, a1, a2 = ff.chain_grid(q, 1)
-    weights = ff.weight_rows(ff.chain_coeff_rows(t, [a0, a1, a2]))
-    # predicted classes
-    pred = np.full(len(a0), q - q // p, dtype=np.int64)
-    neg_inv_a1 = t.neg[t.inv0[a1]]
-    pred[(a1 != 0) & (a2 == neg_inv_a1)] = q - q // p - 1
-    pred[(a1 == 0) & (a2 != 0)] = 2
-    pred[(a1 == 0) & (a2 == 0)] = 1
-    return Rank1Sweep(ctx, weights, pred, a0, a1, a2)
+    grid = ff.chain_grid(q, 1)
+    weights = ff.weight_rows(ff.chain_coeff_rows(t, grid))
+    return Rank1Sweep(ctx, weights, _rank1_classes(t, grid[1], grid[2]))
 
 
 @dataclass

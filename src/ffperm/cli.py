@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import carlitz as cz
 from . import counting as ct
@@ -18,7 +19,7 @@ from . import verify
 from .errors import FFPermError, FieldTooLarge
 from .fastfield import permutes, value_table
 from .gf import FieldCtx, format_field_spec, make_field, parse_field_spec, primitive_element
-from .polyring import Poly, degree, poly_from_json, poly_to_json, weight
+from .polyring import Poly, _coeff_to_jsonable, degree, poly_from_json, poly_to_json, weight
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -90,10 +91,6 @@ def _emit_sweep_row(args, row: dict) -> None:
         _emit(row)
 
 
-def _fe_repr(v):
-    return v.coeffs[0] if v.ctx.n == 1 else list(v.coeffs)
-
-
 # ---------------------------------------------------------------------------
 # subcommand bodies; each returns an exit code
 
@@ -104,7 +101,7 @@ def cmd_field_info(args) -> int:
         "field": format_field_spec(ctx),
         "p": ctx.p, "n": ctx.n, "q": ctx.q,
         "modulus": list(ctx.modulus) if ctx.n > 1 else None,
-        "primitive": _fe_repr(g),
+        "primitive": _coeff_to_jsonable(g),
     })
     return EXIT_OK
 
@@ -133,7 +130,7 @@ def cmd_rank(args) -> int:
     rep = cz.rank_upto2(_load_poly(args, cz.RANK_CAP_DEFAULT))
     out = {"rank": rep.label}
     if rep.witness is not None:
-        out["witness_chain"] = [_fe_repr(a) for a in rep.witness.a]
+        out["witness_chain"] = [_coeff_to_jsonable(a) for a in rep.witness.a]
     _emit(out)
     return EXIT_OK
 
@@ -146,9 +143,7 @@ def cmd_weight(args) -> int:
 
 
 def cmd_nu_p(args) -> int:
-    row = ct.nu_p(args.p)
-    _emit({"p": row.p, "nu": row.nu, "argmax": list(row.argmax),
-           "bound": row.bound, "ratio_log": row.ratio_log})
+    _emit(asdict(ct.nu_p(args.p)))
     return EXIT_OK
 
 
@@ -159,8 +154,7 @@ def cmd_scan_nu(args) -> int:
         sys.stdout.write(ct.nu_rows_csv(rows))
     else:
         for r in rows:
-            _emit({"p": r.p, "nu": r.nu, "argmax": list(r.argmax),
-                   "bound": r.bound, "ratio_log": r.ratio_log})
+            _emit(asdict(r))
     _emit({"summary": summary})
     return EXIT_OK if summary["all_bounded"] else EXIT_VERIFY
 
@@ -262,90 +256,79 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
+# option name -> (flag, argparse keywords)
+OPTIONS = {
+    "field": ("--field", {"help": "field spec p=<int>[,n=<int>][,mod=c0,c1,...,1]"}),
+    "p": ("--p", {"type": int, "help": "characteristic (prime)"}),
+    "n": ("--n", {"type": int, "help": "extension degree"}),
+    "odd-p": ("--p", {"type": int, "required": True, "help": "odd prime"}),
+    "f11-n": ("--n", {"type": int, "help": "extension degree (1 or 2)"}),
+    "format": ("--format", {"choices": ["json", "csv"], "default": "json"}),
+    "poly": ("--poly", {"required": True, "help": "polynomial JSON (inline or a file path)"}),
+    "chain": ("--chain", {"required": True, "help": "comma-separated chain a0,a1,..."}),
+    "range": ("--range", {"required": True, "help": "pmin:pmax"}),
+    "gamma": ("--gamma", {"type": int, "required": True}),
+    "c": ("--c", {"type": int, "required": True}),
+    "d": ("--d", {"type": int, "required": True}),
+    "L": ("--L", {"type": int, "required": True}),
+    "M": ("--M", {"type": int, "required": True}),
+    "no-fold": ("--no-fold", {"action": "store_true",
+                              "help": "compare against the raw weight instead"}),
+    "show-poly": ("--show-poly", {"action": "store_true"}),
+    "seed": ("--seed", {"type": int, "default": verify.DEFAULT_SEED}),
+    "nu-limit": ("--nu-limit", {"type": int, "default": verify.NU_SCAN_LIMIT,
+                                "help": "upper end of the nu_p scan"}),
+}
+FIELD = ("field", "p", "n")
 
-def build_parser() -> argparse.ArgumentParser:
+# subcommand -> (handler, help line, the options it reads in help order)
+COMMANDS = {
+    "field-info": (cmd_field_info, "field parameters and enumeration", FIELD),
+    "expand": (cmd_expand, "expand a chain to a reduced polynomial", FIELD + ("chain",)),
+    "rank2-coeffs": (cmd_rank2_coeffs, "closed-form coefficients of a length-2 chain",
+                     FIELD + ("chain",)),
+    "rank": (cmd_rank, "Carlitz rank classification up to 2", FIELD + ("poly",)),
+    "weight": (cmd_weight, "weight/degree/permutation test", FIELD + ("poly",)),
+    "nu-p": (cmd_nu_p, "nu_p with argmax and bound", ("odd-p",)),
+    "scan-nu": (cmd_scan_nu, "nu_p table over a prime range", ("format", "range")),
+    "count-window": (cmd_count_window, "window solution count",
+                     FIELD + ("gamma", "c", "d", "L", "M")),
+    "count-full": (cmd_count_full, "full-range solution count", FIELD + ("gamma",)),
+    "bounds": (cmd_bounds, "rank-2 weight bounds for a field", FIELD),
+    "sweep-rank1": (cmd_sweep_rank1, "exhaustive rank-1 weight sweep", FIELD + ("format",)),
+    "sweep-rank2": (cmd_sweep_rank2, "exhaustive normalized rank-2 sweep", FIELD + ("format",)),
+    "blahut": (cmd_blahut, "linear complexity vs folded weight", FIELD + ("poly", "no-fold")),
+    "example-f11": (cmd_example_f11, "the sharp family over F_(11^n)", ("f11-n", "show-poly")),
+    "selftest": (cmd_selftest, "run the full verification suite", ("seed", "nu-limit")),
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The ffperm parser, with every subcommand or with only the one named."""
     ap = argparse.ArgumentParser(
         prog="ffperm",
         description="Permutation polynomials of small Carlitz rank: "
                     "weights, bounds, and linear complexity.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(sp, field=True, poly=False, chain=False, fmt=False):
-        if field:
-            sp.add_argument("--field", help="field spec p=<int>[,n=<int>][,mod=c0,c1,...,1]")
-            sp.add_argument("--p", type=int, help="characteristic (prime)")
-            sp.add_argument("--n", type=int, help="extension degree")
-        if fmt:
-            sp.add_argument("--format", choices=["json", "csv"], default="json")
-        if poly:
-            sp.add_argument("--poly", required=True,
-                            help="polynomial JSON (inline or a file path)")
-        if chain:
-            sp.add_argument("--chain", required=True,
-                            help="comma-separated chain a0,a1,...")
-        return sp
-
-    common(sub.add_parser("field-info", help="field parameters and enumeration"))
-    common(sub.add_parser("expand", help="expand a chain to a reduced polynomial"), chain=True)
-    common(sub.add_parser("rank2-coeffs", help="closed-form coefficients of a length-2 chain"), chain=True)
-    common(sub.add_parser("rank", help="Carlitz rank classification up to 2"), poly=True)
-    common(sub.add_parser("weight", help="weight/degree/permutation test"), poly=True)
-    sp = sub.add_parser("nu-p", help="nu_p with argmax and bound")
-    sp.add_argument("--p", type=int, required=True, help="odd prime")
-    sp = common(sub.add_parser("scan-nu", help="nu_p table over a prime range"),
-                field=False, fmt=True)
-    sp.add_argument("--range", required=True, help="pmin:pmax")
-    sp = common(sub.add_parser("count-window", help="window solution count"))
-    sp.add_argument("--gamma", type=int, required=True)
-    sp.add_argument("--c", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--L", type=int, required=True)
-    sp.add_argument("--M", type=int, required=True)
-    sp = common(sub.add_parser("count-full", help="full-range solution count"))
-    sp.add_argument("--gamma", type=int, required=True)
-    common(sub.add_parser("bounds", help="rank-2 weight bounds for a field"))
-    common(sub.add_parser("sweep-rank1", help="exhaustive rank-1 weight sweep"), fmt=True)
-    common(sub.add_parser("sweep-rank2", help="exhaustive normalized rank-2 sweep"), fmt=True)
-    sp = common(sub.add_parser("blahut", help="linear complexity vs folded weight"), poly=True)
-    sp.add_argument("--no-fold", action="store_true",
-                    help="compare against the raw weight instead")
-    sp = sub.add_parser("example-f11", help="the sharp family over F_(11^n)")
-    sp.add_argument("--n", type=int, help="extension degree (1 or 2)")
-    sp.add_argument("--show-poly", action="store_true")
-    sp = sub.add_parser("selftest", help="run the full verification suite")
-    sp.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    sp.add_argument("--nu-limit", type=int, default=verify.NU_SCAN_LIMIT,
-                    help="upper end of the nu_p scan")
+    for name, (_, help_line, opts) in COMMANDS.items():
+        if only in (None, name):
+            sp = sub.add_parser(name, help=help_line)
+            for opt in opts:
+                flag, kw = OPTIONS[opt]
+                sp.add_argument(flag, **kw)
     return ap
 
 
-HANDLERS = {
-    "field-info": cmd_field_info,
-    "expand": cmd_expand,
-    "rank2-coeffs": cmd_rank2_coeffs,
-    "rank": cmd_rank,
-    "weight": cmd_weight,
-    "nu-p": cmd_nu_p,
-    "scan-nu": cmd_scan_nu,
-    "count-window": cmd_count_window,
-    "count-full": cmd_count_full,
-    "bounds": cmd_bounds,
-    "sweep-rank1": cmd_sweep_rank1,
-    "sweep-rank2": cmd_sweep_rank2,
-    "blahut": cmd_blahut,
-    "example-f11": cmd_example_f11,
-    "selftest": cmd_selftest,
-}
-
-
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # one subparser when argv names a subcommand; all of them for --help and errors
+    ap = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return HANDLERS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except SystemExit2 as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -50,7 +50,6 @@ class FieldTables:
 
         # powers of the primitive element
         g = primitive_element(ctx)
-        self.alpha = ctx.index_of(g)
         exp = np.empty(q - 1, dtype=np.int64)
         acc = ctx.one()
         for k in range(q - 1):
@@ -169,12 +168,17 @@ def tables(ctx: FieldCtx) -> FieldTables:
     return ctx._tables
 
 
-def value_table(f) -> np.ndarray:
-    """Values of a reduced polynomial f (a polyring.Poly) at the enumerated
-    points, as element indices."""
+def coeff_row(f) -> np.ndarray:
+    """The coefficients of a reduced polynomial f (a polyring.Poly) as one
+    (1, q) row of element indices."""
     ctx = f.ctx
-    row = np.array([[ctx.index_of(c) for c in f.coeffs]], dtype=np.int32)
-    return tables(ctx).batch_eval(row)[0]
+    return np.array([[ctx.index_of(c) for c in f.coeffs]], dtype=np.int32)
+
+
+def value_table(f) -> np.ndarray:
+    """Values of a reduced polynomial f at the enumerated points, as
+    element indices."""
+    return tables(f.ctx).batch_eval(coeff_row(f))[0]
 
 
 def permutes(values: np.ndarray) -> bool:

@@ -396,6 +396,8 @@ def lucas_binom(m: int, k: int, p: int) -> int:
 # field spec strings: p=<int>[,n=<int>][,mod=<c0,c1,...,1>]
 
 def parse_field_spec(spec: str) -> FieldCtx:
+    if not isinstance(spec, str):
+        raise BadRange(f"field spec {spec!r} is not a string")
     p = None
     n = 1
     mod = None

@@ -14,9 +14,9 @@ import numpy as np
 from . import fastfield as ff
 from .errors import EmptySequence, FieldTooLarge
 from .gf import Fe, inv0, primitive_element
-from .polyring import Poly, evaluate, weight
+from .polyring import Poly, evaluate
 
-__all__ = ["berlekamp_massey", "berlekamp_massey_rows", "blahut_check",
+__all__ = ["berlekamp_massey", "berlekamp_massey_rows", "blahut_check", "blahut_rows",
            "folded_weight", "sequence_from_poly", "BLAHUT_CAP"]
 
 BLAHUT_CAP = 512
@@ -122,20 +122,35 @@ def folded_weight(f: Poly) -> int:
     return w
 
 
-def blahut_check(f: Poly, fold: bool = True) -> tuple[int, int, bool]:
-    """(linear complexity, folded weight, equal?) for s_n = f(alpha^n).
+def blahut_rows(t: ff.FieldTables, coeff_rows: np.ndarray, table_rows: np.ndarray,
+                fold: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """(linear complexity, weight) per row, for s_n = f(alpha^n).
 
-    The linear complexity comes from the sequence alone: f's value table
-    by Horner on index tables, read at the powers of alpha, then
-    berlekamp_massey_rows on two periods.  fold=False compares against the
-    raw weight instead, exposing the mismatch for polynomials with an
-    x^(q-1) term.
+    Row r of coeff_rows holds the reduced coefficients of one f and row r
+    of table_rows its value table, both as element indices.  The linear
+    complexity comes from the sequence alone: the table read at the powers
+    of alpha, run through berlekamp_massey_rows on two periods.  The weight
+    is folded_weight's (the x^(q-1) coefficient folded into the constant),
+    or the raw weight when fold=False, which exposes the mismatch for
+    polynomials with an x^(q-1) term.
     """
+    q = t.q
+    s = table_rows[:, t.exp]
+    lc = berlekamp_massey_rows(t, np.hstack([s, s]))
+    if fold:
+        w = (np.count_nonzero(coeff_rows[:, 1:q - 1], axis=1)
+             + (t.add[coeff_rows[:, 0], coeff_rows[:, q - 1]] != 0))
+    else:
+        w = ff.weight_rows(coeff_rows)
+    return lc, w
+
+
+def blahut_check(f: Poly, fold: bool = True) -> tuple[int, int, bool]:
+    """(linear complexity, weight, equal?) for one f, by blahut_rows."""
     ctx = f.ctx
     if ctx.q > BLAHUT_CAP:
         raise FieldTooLarge(f"q = {ctx.q} exceeds cap {BLAHUT_CAP}")
     t = ff.tables(ctx)
-    s = ff.value_table(f)[t.exp]
-    lc = int(berlekamp_massey_rows(t, np.concatenate([s, s])[None])[0])
-    w = folded_weight(f) if fold else weight(f)
+    row = ff.coeff_row(f)
+    lc, w = (int(v[0]) for v in blahut_rows(t, row, t.batch_eval(row), fold))
     return lc, w, lc == w

@@ -177,17 +177,16 @@ def _pow_reduce(f: Poly, e: int) -> Poly:
 # ---------------------------------------------------------------------------
 # JSON text form
 
-def _coeff_to_jsonable(c: Fe, n: int):
-    return c.coeffs[0] if n == 1 else list(c.coeffs)
+def _coeff_to_jsonable(c: Fe):
+    return c.coeffs[0] if c.ctx.n == 1 else list(c.coeffs)
 
 
 def poly_to_json(f: Poly) -> str:
-    n = f.ctx.n
     top = degree(f)
     upto = 0 if top is None else top + 1
     return json.dumps({
         "field": format_field_spec(f.ctx),
-        "coeffs": [_coeff_to_jsonable(c, n) for c in f.coeffs[:upto]],
+        "coeffs": [_coeff_to_jsonable(c) for c in f.coeffs[:upto]],
     })
 
 

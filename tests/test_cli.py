@@ -171,6 +171,35 @@ def test_poly_from_file(tmp_path, capsys):
     assert json.loads(out)["weight"] == 3
 
 
+HELP_LINES = {
+    "field-info": "field parameters and enumeration",
+    "expand": "expand a chain to a reduced polynomial",
+    "rank2-coeffs": "closed-form coefficients of a length-2 chain",
+    "rank": "Carlitz rank classification up to 2",
+    "weight": "weight/degree/permutation test",
+    "nu-p": "nu_p with argmax and bound",
+    "scan-nu": "nu_p table over a prime range",
+    "count-window": "window solution count",
+    "count-full": "full-range solution count",
+    "bounds": "rank-2 weight bounds for a field",
+    "sweep-rank1": "exhaustive rank-1 weight sweep",
+    "sweep-rank2": "exhaustive normalized rank-2 sweep",
+    "blahut": "linear complexity vs folded weight",
+    "example-f11": "the sharp family over F_(11^n)",
+    "selftest": "run the full verification suite",
+}
+
+
+def test_help_lists_every_subcommand(capsys):
+    code, out = run(capsys, "--help")
+    assert code == 0
+    words = " ".join(out.split())
+    for cmd, line in HELP_LINES.items():
+        assert f"{cmd} {line}" in words
+        code, out = run(capsys, cmd, "--help")
+        assert code == 0 and out.startswith(f"usage: ffperm {cmd} [-h]")
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["nu-p"]) == 2
     assert main(["no-such-command"]) == 2
@@ -196,6 +225,9 @@ def test_usage_errors_exit_2(capsys):
     ["weight", "--poly", '{"field": "p=3,n=30", "coeffs": [0, 1]}'],
     ["rank", "--poly", '{"field": "p=3,n=30", "coeffs": [0, 1]}'],
     ["blahut", "--poly", '{"field": "p=3,n=30", "coeffs": [0, 1]}'],
+    ["weight", "--poly", '{"field": 5, "coeffs": [1]}'],
+    ["rank", "--poly", '{"field": null, "coeffs": [1]}'],
+    ["blahut", "--poly", '{"field": ["p=5"], "coeffs": [1]}'],
 ])
 def test_malformed_input_exits_2_without_traceback(capsys, argv):
     assert main(argv) == 2
@@ -212,7 +244,8 @@ VALUES = {
     "--field": ["p=5", "p=3,n=2", "p=2,n=3", "p=4", "p=x", "n=2", "p=3,n=2,mod=1,1,1", ""],
     "--poly": ['{"field":"p=5","coeffs":[0,1,1,2]}', '{"field":"p=3,n=2","coeffs":[[0,1],[1]]}',
                '{"field":"p=5","coeffs":[0,0,1]}', '{"field":"p=5","coeffs":[]}',
-               '{"field":"p=4","coeffs":[1]}', '{"coeffs":[1]}', "{bad", "no/such/file"],
+               '{"field":"p=4","coeffs":[1]}', '{"coeffs":[1]}', '{"field":5,"coeffs":[1]}',
+               "{bad", "no/such/file"],
     "--chain": ["-1,1,4,0", "2,3,1,5", "1,1", "0,1", "1,2,0,3", "1", "a,b", ""],
     "--gamma": INTS, "--c": INTS, "--d": INTS, "--L": INTS, "--M": INTS,
 }

@@ -10,7 +10,7 @@ from ffperm import carlitz as cz
 from ffperm import lincomp as lc
 from ffperm.errors import EmptySequence, FieldTooLarge
 from ffperm.gf import make_field
-from ffperm.polyring import Poly, reduce_mod_xq_x
+from ffperm.polyring import Poly, reduce_mod_xq_x, weight
 from test_fastfield import FIELDS
 
 
@@ -113,12 +113,17 @@ def test_blahut_random_polynomials():
     random.seed(6)
     for p, n in [(5, 1), (3, 2), (11, 1)]:
         ctx = make_field(p, n)
-        for _ in range(40):
-            f = Poly(ctx, tuple(ctx.el_at(random.randrange(ctx.q))
-                                for _ in range(ctx.q)))
-            lcv, _, eq = lc.blahut_check(f)
-            assert eq
+        t = ff.tables(ctx)
+        fs = [Poly(ctx, tuple(ctx.el_at(random.randrange(ctx.q)) for _ in range(ctx.q)))
+              for _ in range(40)]
+        rows = np.vstack([ff.coeff_row(f) for f in fs])
+        lcs, folded = lc.blahut_rows(t, rows, t.batch_eval(rows))
+        _, raw = lc.blahut_rows(t, rows, t.batch_eval(rows), fold=False)
+        for f, lcv, fw, w in zip(fs, lcs, folded, raw):
             assert lcv == lc.berlekamp_massey(lc.sequence_from_poly(f) * 2)
+            assert fw == lc.folded_weight(f) == lcv
+            assert w == weight(f)
+            assert lc.blahut_check(f) == (lcv, fw, True)
 
 
 def test_blahut_cap():
