@@ -117,8 +117,9 @@ def test_blahut_random_polynomials():
         fs = [Poly(ctx, tuple(ctx.el_at(random.randrange(ctx.q)) for _ in range(ctx.q)))
               for _ in range(40)]
         rows = np.vstack([ff.coeff_row(f) for f in fs])
-        lcs, folded = lc.blahut_rows(t, rows, t.batch_eval(rows))
-        _, raw = lc.blahut_rows(t, rows, t.batch_eval(rows), fold=False)
+        tabs = t.batch_eval(rows)
+        lcs, folded = lc.blahut_rows(t, rows, tabs)
+        _, raw = lc.blahut_rows(t, rows, tabs, fold=False)
         for f, lcv, fw, w in zip(fs, lcs, folded, raw):
             assert lcv == lc.berlekamp_massey(lc.sequence_from_poly(f) * 2)
             assert fw == lc.folded_weight(f) == lcv
