@@ -4,7 +4,11 @@ Elements of F_q are identified with their position in the fixed
 enumeration (see gf); index 0 is the zero element.  Addition and
 multiplication are q x q tables, the multiplication table built from
 discrete logs.  Evaluation is Horner over every point at once;
-interpolation is one explicit (q*n)^2 matrix over F_p.  All batch
+interpolation is one explicit (q*n)^2 matrix over F_p, applied as one
+float GEMM that is exact because every partial sum is an integer the
+float type holds (float32 when q*n*(p-1)^2 < 2^24, else float64).
+Chain value tables are built one block of rows at a time by 2-D table
+gathers.  All batch
 routines here are cross-checked against the scalar gf/polyring/lincomp
 implementations in the test suite; they are accelerators, not a second
 source of truth.
@@ -19,7 +23,7 @@ from .gf import FieldCtx, primitive_element
 
 TABLE_CAP = 4096  # largest q for which index tables are built
 BYTES_CAP = 1 << 28  # largest (q*n)^2 matrix or sweep value table, in bytes
-ROW_BLOCK = 1 << 22  # prime-field components per block of rows in batch work
+ROW_BLOCK = 1 << 22  # entries (values or prime-field components) per block of rows
 
 
 def check_bytes(nbytes: int, what: str) -> None:
@@ -50,13 +54,13 @@ class FieldTables:
 
         # powers of the primitive element
         g = primitive_element(ctx)
-        exp = np.empty(q - 1, dtype=np.int64)
+        exp = np.empty(q - 1, dtype=np.int32)
         acc = ctx.one()
         for k in range(q - 1):
             exp[k] = ctx.index_of(acc)
             acc = acc * g
         self.exp = exp
-        log = np.full(q, -1, dtype=np.int64)
+        log = np.full(q, -1, dtype=np.int32)
         log[exp] = np.arange(q - 1)
         self.log = log
 
@@ -72,10 +76,10 @@ class FieldTables:
         self.add = add
         mul = np.zeros((q, q), dtype=np.int32)
         if q > 1:
-            lg = log[1:].astype(np.int32)
+            lg = log[1:]
             e = lg[:, None] + lg[None, :]
             np.subtract(e, q - 1, out=e, where=e >= q - 1)
-            mul[1:, 1:] = exp.astype(np.int32)[e]
+            mul[1:, 1:] = exp[e]
             del e
         self.mul = mul
         self.neg = (((p - elems) % p) @ self.place).astype(np.int32)
@@ -86,28 +90,37 @@ class FieldTables:
         self.emb = (np.arange(p, dtype=np.int64) * self.place[0]).astype(np.int32)
 
         self._interp_matrix = None
+        self._elems_f = None  # (n, q) float components, in the matrix's dtype
 
     # -- powers with the 0**0 = 1 convention -------------------------------
     def pow_outer(self, base: np.ndarray, exps: np.ndarray) -> np.ndarray:
-        """(len(base), len(exps)) array of base[r]^exps[c], exps >= 0."""
+        """(len(base), len(exps)) array of base[r]^exps[c], exps >= 0.
+
+        Works in int32: with exps reduced mod q-1 the log products stay
+        below (q-1)^2 < 2^31.  With more rows than field elements, the
+        powers of every element are computed once and gathered by row.
+        """
         base = np.asarray(base)
-        exps = np.asarray(exps, dtype=np.int64)
-        out = np.zeros((len(base), len(exps)), dtype=np.int32)
-        nz = base != 0
-        if nz.any():
-            lg = self.log[base[nz]]
-            out[nz] = self.exp[(lg[:, None] * exps[None, :]) % (self.q - 1)]
-        zero_exp = exps == 0
-        if zero_exp.any():
-            out[:, zero_exp] = self.emb[1]
+        exps = np.asarray(exps)
+        if len(base) > self.q:
+            return np.take(self.pow_outer(np.arange(self.q), exps), base, axis=0)
+        e = (exps % (self.q - 1)).astype(np.int32)
+        lg = self.log[base]  # -1 at zero bases, overwritten below
+        prod = lg[:, None] * e[None, :]
+        prod %= self.q - 1
+        out = self.exp[prod]
+        out[base == 0] = 0
+        out[:, exps == 0] = self.emb[1]
         return out
 
     # -- evaluation and interpolation -------------------------------------
     def interp_matrix(self) -> np.ndarray:
-        """(q*n, q*n) float64 matrix of interpolation as an F_p-linear map.
+        """Interpolation as an F_p-linear map: a (q*n, q*n) matrix T with
+        coefficient components = value components @ T.
 
-        Flattening: value at the a-th enumerated point, component k at
-        position a*n + k; coefficient of x^i, component k at i*n + k.
+        Flattening is component-major: component k of the value at the
+        a-th enumerated point sits at position k*q + a, and component k of
+        the coefficient of x^i at k*q + i.
         For reduced f = sum_i c_i x^i the coefficients are
             c_0 = f(0),
             c_k = -sum_{x != 0} f(x) x^(-k)    (1 <= k <= q-2),
@@ -115,22 +128,32 @@ class FieldTables:
         from the power sums sum_{x in F_q^*} x^m = -[(q-1) | m]: for
         1 <= k <= q-2 only i = k has (q-1) | (i - k), and
         sum_x f(x) = c_0 - c_0 - c_{q-1} since i = 0 and i = q-1 qualify.
+
+        Entries and value components are integers in [0, p-1], so every
+        partial sum of a product is an integer below q*n*(p-1)^2.  Under
+        2^24 the matrix is float32, which holds all such integers and so
+        is exact in any summation order (FMA included); otherwise float64.
         """
         if self._interp_matrix is None:
-            q, n = self.q, self.n
-            check_bytes((q * n) ** 2 * 8, f"a (q*n)^2 matrix at q = {q}")
+            q, n, p = self.q, self.n, self.p
+            dtype = np.float32 if q * n * (p - 1) ** 2 < 1 << 24 else np.float64
+            check_bytes((q * n) ** 2 * np.dtype(dtype).itemsize,
+                        f"a (q*n)^2 matrix at q = {q}")
             pts = np.arange(q, dtype=np.int32)
-            W = np.zeros((q, q), dtype=np.int32)  # c_i = sum_x W[i, x] f(x)
-            W[0, 0] = self.emb[1]
-            # row k: -x^(q-1-k) = -x^(-k) for x != 0, and 0 at x = 0
-            W[1:q - 1] = self.neg[self.pow_outer(pts, np.arange(q - 2, 0, -1))].T
-            W[q - 1] = self.neg[self.emb[1]]
-            # component k' of W[i, x] * e_k sits at row i*n + k', column x*n + k
-            M = np.empty((q * n, q * n), dtype=np.float64)
+            WT = np.zeros((q, q), dtype=np.int32)  # c_i = sum_x WT[x, i] f(x)
+            WT[0, 0] = self.emb[1]
+            # column k: -x^(q-1-k) = -x^(-k) for x != 0, and 0 at x = 0
+            WT[:, 1:q - 1] = self.neg[self.pow_outer(pts, np.arange(q - 2, 0, -1))]
+            WT[:, q - 1] = self.neg[self.emb[1]]
+            ef = self.elems.T.astype(dtype)  # ef[k] = component k of every element
+            # component k' of W[i, x] * e_k sits at row k*q + x, column k'*q + i
+            T = np.empty((n, q, n, q), dtype=dtype)
             for k in range(n):
-                comps = self.elems[self.mul[W, int(self.place[k])]]  # (q, q, n)
-                M[:, k::n] = comps.transpose(0, 2, 1).reshape(q * n, q)
-            self._interp_matrix = M
+                times_ek = self.mul[:, int(self.place[k])]
+                for k2 in range(n):
+                    T[k, :, k2] = ef[k2][times_ek][WT]
+            self._interp_matrix = T.reshape(q * n, q * n)
+            self._elems_f = ef
         return self._interp_matrix
 
     def batch_eval(self, coeff_rows: np.ndarray) -> np.ndarray:
@@ -146,18 +169,32 @@ class FieldTables:
         return v
 
     def batch_interp(self, table_rows: np.ndarray) -> np.ndarray:
-        """Reduced coefficients of value-table rows (indices in, indices out)."""
-        M = self.interp_matrix()
+        """Reduced coefficients of value-table rows (indices in, indices out).
+
+        One GEMM per block of rows; its exact integer products are reduced
+        mod p and recombined into indices in int32 (int64 beside a float64
+        matrix, whose products can pass 2^31).
+        """
+        T = self.interp_matrix()
+        ef = self._elems_f
         m, q = table_rows.shape
-        n = self.n
+        n, p = self.n, self.p
+        acc = np.int32 if T.dtype == np.float32 else np.int64
         out = np.empty_like(table_rows)
         chunk = max(1, ROW_BLOCK // (q * n))
+        flat = np.empty((min(chunk, m), n, q), dtype=T.dtype)
         for s in range(0, m, chunk):
-            comps = self.elems[table_rows[s:s + chunk]]          # (c, q, n)
-            flat = comps.reshape(len(comps), q * n).astype(np.float64)
-            res = (flat @ M.T) % self.p
-            res = res.astype(np.int64).reshape(len(comps), q, n)
-            out[s:s + chunk] = (res @ self.place).astype(table_rows.dtype)
+            rows = table_rows[s:s + chunk]
+            c = len(rows)
+            for k in range(n):
+                flat[:c, k] = ef[k][rows]
+            res = (flat[:c].reshape(c, n * q) @ T).astype(acc).reshape(c, n, q)
+            res %= p
+            dst = out[s:s + c]
+            dst[:] = res[:, 0]
+            for k in range(1, n):  # index = sum_k component_k p^(n-1-k), by Horner
+                dst *= p
+                dst += res[:, k]
         return out
 
 
@@ -191,17 +228,26 @@ def chain_value_tables(t: FieldTables, a_list: list[np.ndarray]) -> np.ndarray:
     """Value tables of the chains with parameter columns a_list.
 
     a_list holds n+2 index arrays of common length m (a0, a1, ..., a_{n+1});
-    the result is (m, q) with row r the table of chain r.
+    the result is (m, q) with row r the table of chain r.  Each block of
+    rows is built whole: row a0 of the mul table is a0*x at every x, and
+    each addition is one gather from the flat add table at a*q + v
+    (add[a, v], which equals add[v, a]).
     """
     a_list = [np.asarray(a, dtype=np.int32) for a in a_list]
-    m = len(a_list[0])
-    q = t.q
+    m, q = len(a_list[0]), t.q
+    add = t.add.ravel()
     out = np.empty((m, q), dtype=np.int32)
-    for x in range(q):
-        v = t.add[t.mul[a_list[0], x], a_list[1]]
-        for k in range(2, len(a_list)):
-            v = t.add[t.inv0[v], a_list[k]]
-        out[:, x] = v
+    block = max(1, ROW_BLOCK // q)
+    for s in range(0, m, block):
+        a0, a1, *rest = (a[s:s + block] for a in a_list)
+        v = t.mul[a0]
+        v += a1[:, None] * q
+        v = add[v]
+        for ak in rest:
+            v = t.inv0[v]
+            v += ak[:, None] * q
+            v = add[v]
+        out[s:s + block] = v
     return out
 
 

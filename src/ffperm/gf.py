@@ -355,19 +355,23 @@ def order(a: Fe) -> int:
 
 
 def primitive_element(ctx: FieldCtx) -> Fe:
-    """Least generator of F_q^* in enumeration order (2, 3, ... for prime fields)."""
+    """Least generator of F_q^* in enumeration order (2, 3, ... for prime fields).
+
+    a generates exactly when a^((q-1)/f) != 1 for every prime f | q-1;
+    each candidate is dropped at its first power equal to 1.
+    """
     if ctx._primitive is not None:
         return ctx._primitive
-    target = ctx.q - 1
+    one = ctx.one()
+    cofactors = [(ctx.q - 1) // f for f in factorize(ctx.q - 1)]
     for i in range(2, ctx.q):
         a = ctx.el_at(i)
-        if order(a) == target:
+        if all(a ** e != one for e in cofactors):
             ctx._primitive = a
             return a
     # q = 2: the only unit is 1
-    a = ctx.one()
-    ctx._primitive = a
-    return a
+    ctx._primitive = one
+    return one
 
 
 @lru_cache(maxsize=None)

@@ -35,6 +35,9 @@ def test_pow_conventions():
     assert (outer[:, 0] == t.emb[1]).all()  # 0^0 = 1 too
     assert outer[:, 2].tolist() == [0, 3, 2]  # 2^3=8=3, 3^3=27=2
     assert outer[0].tolist() == [t.emb[1], 0, 0, 0]
+    # more rows than elements: the same powers, by row gather
+    many = np.tile(base, 3)
+    assert (t.pow_outer(many, np.array([0, 1, 3, 4])) == np.tile(outer, (3, 1))).all()
 
 
 @pytest.mark.parametrize("p,n", FIELDS)
@@ -58,6 +61,22 @@ def test_batch_eval_matches_scalar(p, n):
     for r in range(len(vals)):
         f = interpolate(ValueTable(ctx, tuple(ctx.el_at(int(i)) for i in vals[r])))
         assert coeffs[r].tolist() == [ctx.index_of(c) for c in f.coeffs]
+
+
+@pytest.mark.parametrize("p,n,dtype", [(251, 1, np.float32), (257, 1, np.float64),
+                                       (3, 5, np.float32)])
+def test_batch_interp_exact_at_float32_edge(p, n, dtype, monkeypatch):
+    # q*n*(p-1)^2: 15,687,500 < 2^24 at p = 251, 16,842,752 >= 2^24 at p = 257
+    t = ff.tables(make_field(p, n))
+    q = t.q
+    assert t.interp_matrix().dtype == dtype
+    monkeypatch.setattr(ff, "ROW_BLOCK", 3 * q * n)  # blocks of 3 rows, the last one short
+    rng = np.random.default_rng(q)
+    rows = rng.integers(0, q, size=(7, q)).astype(np.int32)
+    rows[0] = q - 1  # every component p-1: the largest products
+    rows[1, ::2] = q - 1
+    assert (t.batch_eval(t.batch_interp(rows)) == rows).all()
+    assert (t.batch_interp(t.batch_eval(rows)) == rows).all()
 
 
 @pytest.mark.parametrize("p,n", FIELDS)
@@ -92,6 +111,27 @@ def test_chain_value_tables_match_scalar():
         assert grid == list(itertools.product(units, full, *[units] * (n - 1), full))
 
 
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2)])
+def test_chain_value_tables_on_many_rows(p, n, monkeypatch):
+    from ffperm.carlitz import Chain, _chain_value
+    ctx = make_field(p, n)
+    t = ff.tables(ctx)
+    q = ctx.q
+    monkeypatch.setattr(ff, "ROW_BLOCK", 7 * q)  # blocks of 7 rows, the last one short
+    rng = np.random.default_rng(q)
+    m = 40
+    for length in (1, 2, 3):
+        units = [rng.integers(1, q, m) for _ in range(length)]  # a0, a2, ..., a_n
+        cols = units[:1] + [rng.integers(0, q, m)] + units[1:] + [rng.integers(0, q, m)]
+        tabs = ff.chain_value_tables(t, cols)
+        assert tabs.shape == (m, q)
+        for r in range(m):
+            ch = Chain(ctx, tuple(ctx.el_at(int(a[r])) for a in cols))
+            # every chain has a pole: a0 x + a1 vanishes at x = -a1/a0
+            assert tabs[r].tolist() == [ctx.index_of(_chain_value(ch, ctx.el_at(x)))
+                                        for x in range(q)]
+
+
 def test_rank2_coeff_rows_match_scalar():
     from ffperm.carlitz import Chain, expand_chain_by_powers
     for p, n in [(5, 1), (3, 2), (7, 1)]:
@@ -124,7 +164,7 @@ def test_table_cap_enforced():
 
 def test_matrix_byte_cap_enforced():
     with pytest.raises(FieldTooLarge):
-        ff.tables(make_field(2, 10)).interp_matrix()  # 10240^2 float64: 800 MiB
+        ff.tables(make_field(2, 10)).interp_matrix()  # 10240^2 float32: 400 MiB
 
 
 def test_sweep_byte_cap_enforced():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,19 @@ def test_f9_primitive_element():
     g = primitive_element(ctx)
     assert ctx.index_of(g) == 4  # 1 + xbar in the fixed enumeration
     assert order(g) == 8
+
+
+def test_primitive_element_is_least_of_full_order():
+    # every prime power q <= 400, against the definition by order
+    for q in range(2, 401):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        n = round(math.log(q, p))
+        if p ** n != q:
+            continue
+        ctx = make_field(p, n)
+        least = next((ctx.el_at(i) for i in range(2, q) if order(ctx.el_at(i)) == q - 1),
+                     ctx.one())
+        assert primitive_element(ctx) == least, q
 
 
 def test_composite_p_rejected():
