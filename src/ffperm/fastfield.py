@@ -139,11 +139,10 @@ class FieldTables:
             dtype = np.float32 if q * n * (p - 1) ** 2 < 1 << 24 else np.float64
             check_bytes((q * n) ** 2 * np.dtype(dtype).itemsize,
                         f"a (q*n)^2 matrix at q = {q}")
-            pts = np.arange(q, dtype=np.int32)
             WT = np.zeros((q, q), dtype=np.int32)  # c_i = sum_x WT[x, i] f(x)
             WT[0, 0] = self.emb[1]
             # column k: -x^(q-1-k) = -x^(-k) for x != 0, and 0 at x = 0
-            WT[:, 1:q - 1] = self.neg[self.pow_outer(pts, np.arange(q - 2, 0, -1))]
+            WT[:, 1:q - 1] = self.neg[self.pow_outer(np.arange(q), np.arange(q - 2, 0, -1))]
             WT[:, q - 1] = self.neg[self.emb[1]]
             ef = self.elems.T.astype(dtype)  # ef[k] = component k of every element
             # component k' of W[i, x] * e_k sits at row k*q + x, column k'*q + i
