@@ -28,6 +28,9 @@ __all__ = [
 
 NU_P_CAP = 1 << 15  # nu_p is O(p^2) time; the 10^4 scan and its benchmark band fit
 _NU_BLOCK = 1 << 15  # kernel elements per int32 block, so the temporaries stay in cache
+# count_full takes q - 2 scalar steps, up to 40 us each (F_(2^15): 1.3 s a call);
+# nu_p_naive's prime fields stay under it, since nu_p itself stops at NU_P_CAP
+COUNT_FULL_CAP = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -134,6 +137,8 @@ def window_bound(M: int) -> float:
 
 def count_full(ctx: FieldCtx, gamma: Fe) -> int:
     """|{1 <= i <= q-2 : gamma^(i+1) = i(1-gamma) + 1}| (i taken mod p)."""
+    if ctx.q > COUNT_FULL_CAP:
+        raise FieldTooLarge(f"count_full needs q <= {COUNT_FULL_CAP}, got {ctx.q}")
     gamma = ctx.el(gamma)
     if gamma == ctx.one():
         raise GammaOne("gamma = 1 makes the equation degenerate")

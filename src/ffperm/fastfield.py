@@ -8,7 +8,9 @@ interpolation is one explicit (q*n)^2 matrix over F_p, applied as one
 float GEMM that is exact because every partial sum is an integer the
 float type holds (float32 when q*n*(p-1)^2 < 2^24, else float64).
 Chain value tables are built one block of rows at a time by 2-D table
-gathers.  All batch
+gathers; in blocks of more than q rows each stage but the last is
+computed once per run of equal parameter prefixes.  The rank-2 closed
+form computes its (a1, a2) factor once per distinct pair.  All batch
 routines here are cross-checked against the scalar gf/polyring/lincomp
 implementations in the test suite; they are accelerators, not a second
 source of truth.
@@ -231,6 +233,14 @@ def chain_value_tables(t: FieldTables, a_list: list[np.ndarray]) -> np.ndarray:
     rows is built whole: row a0 of the mul table is a0*x at every x, and
     each addition is one gather from the flat add table at a*q + v
     (add[a, v], which equals add[v, a]).
+
+    Stage k (the table after a_k is added) depends only on the prefix
+    (a0, ..., a_k).  In a block of more rows than q, every stage but the
+    last is computed once per run of equal neighbouring prefixes, and only
+    the last stage is computed on every row; in chain_grid's lexicographic
+    order each earlier stage then shrinks at least q-1-fold.  Smaller
+    blocks (the rank search's candidates, one-row expansions) skip the run
+    detection, which would cost more than it saves.
     """
     a_list = [np.asarray(a, dtype=np.int32) for a in a_list]
     m, q = len(a_list[0]), t.q
@@ -238,7 +248,11 @@ def chain_value_tables(t: FieldTables, a_list: list[np.ndarray]) -> np.ndarray:
     out = np.empty((m, q), dtype=np.int32)
     block = max(1, ROW_BLOCK // q)
     for s in range(0, m, block):
-        a0, a1, *rest = (a[s:s + block] for a in a_list)
+        cols = [a[s:s + block] for a in a_list]
+        if len(cols[0]) > q and len(cols) > 2:
+            out[s:s + block] = _shared_prefix_tables(t, cols)
+            continue
+        a0, a1, *rest = cols
         v = t.mul[a0]
         v += a1[:, None] * q
         v = add[v]
@@ -248,6 +262,34 @@ def chain_value_tables(t: FieldTables, a_list: list[np.ndarray]) -> np.ndarray:
             v = add[v]
         out[s:s + block] = v
     return out
+
+
+def _shared_prefix_tables(t: FieldTables, cols: list[np.ndarray]) -> np.ndarray:
+    """chain_value_tables on one block: each stage is computed on the first
+    row of each run of equal prefixes, and its rows are expanded to the
+    next stage's runs (every row at the last stage)."""
+    q, add = t.q, t.add.ravel()
+    new = np.ones(len(cols[0]), dtype=bool)  # row starts a run of equal prefixes
+    new[1:] = cols[0][1:] != cols[0][:-1]
+    new[1:] |= cols[1][1:] != cols[1][:-1]
+    heads = np.flatnonzero(new)
+    v = t.mul[cols[0][heads]]
+    v += cols[1][heads, None] * q
+    v = add[v]
+    for k in range(2, len(cols)):
+        ak = cols[k]
+        run = np.cumsum(new) - 1  # run of the previous prefix, per row
+        if k == len(cols) - 1:
+            new[:] = True
+        else:
+            new[1:] |= ak[1:] != ak[:-1]
+        heads = np.flatnonzero(new)
+        v = t.inv0[v]
+        if len(v) < len(heads):
+            v = np.take(v, run[heads], axis=0)
+        v += ak[heads, None] * q
+        v = add[v]
+    return v
 
 
 def chain_grid(q: int, n: int) -> list[np.ndarray]:
@@ -296,30 +338,36 @@ def rank2_coeff_rows(t: FieldTables, a0, a1, a2, a3) -> np.ndarray:
 
     Column i is the coefficient of x^i; column q-1 is always zero and the
     constant lands in column 0.  Zero-base powers follow 0**0 = 1.
+    For 1 <= i <= q-2 the coefficient factors as (-a0)^i * B_i(a1, a2), with
+        B_i = a2^-1 ((a1 - i a2^-1) eta^(q-2-i) - a1^(q-1-i)),  eta = a1 + a2^-1,
+    so B is built once per distinct (a1, a2) and each row is one gather
+    from the flat mul table at (-a0)^i * q + B_i.  Only column 0 depends
+    on a3.  Independent of the chain expansion it is checked against.
     """
     a0 = np.asarray(a0, dtype=np.int32)
-    a1 = np.asarray(a1, dtype=np.int32)
-    a2 = np.asarray(a2, dtype=np.int32)
     a3 = np.asarray(a3, dtype=np.int32)
     q, p = t.q, t.p
-    m = len(a0)
+    pairs, at = np.unique(np.asarray(a1, dtype=np.int64) * q + np.asarray(a2),
+                          return_inverse=True)
+    a1 = (pairs // q).astype(np.int32)  # one entry per distinct (a1, a2)
+    a2 = (pairs % q).astype(np.int32)
     inv_a2 = t.inv0[a2]
     eta = t.add[a1, inv_a2]
-    neg_a0 = t.neg[a0]
 
     i = np.arange(1, q - 1, dtype=np.int64)
-    emb_i = t.emb[(i % p).astype(np.int64)]                       # (q-2,)
-    pow_neg = t.pow_outer(neg_a0, i)                              # (-a0)^i
+    emb_i = t.emb[i % p]                                          # (q-2,)
     pow_eta = t.pow_outer(eta, q - 2 - i)                         # eta^(q-2-i)
     pow_a1 = t.pow_outer(a1, q - 1 - i)                           # a1^(q-1-i)
-
     lin = t.add[a1[:, None], t.neg[t.mul[emb_i[None, :], inv_a2[:, None]]]]
     bracket = t.add[t.mul[lin, pow_eta], t.neg[pow_a1]]
-    coeff = t.mul[t.mul[inv_a2[:, None], pow_neg], bracket]
+    B = t.mul[inv_a2[:, None], bracket]
 
-    out = np.zeros((m, q), dtype=np.int32)
-    out[:, 0] = t.add[a3, rank2_shift(t, a1, a2)]
-    out[:, 1:q - 1] = coeff
+    out = np.zeros((len(a0), q), dtype=np.int32)
+    out[:, 0] = t.add[a3, rank2_shift(t, a1, a2)[at]]
+    P = t.pow_outer(t.neg[a0], i)                                 # (-a0)^i
+    P *= q
+    P += B[at]
+    out[:, 1:q - 1] = t.mul.ravel()[P]
     return out
 
 

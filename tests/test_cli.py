@@ -228,6 +228,7 @@ def test_usage_errors_exit_2(capsys):
     ["weight", "--poly", '{"field": 5, "coeffs": [1]}'],
     ["rank", "--poly", '{"field": null, "coeffs": [1]}'],
     ["blahut", "--poly", '{"field": ["p=5"], "coeffs": [1]}'],
+    ["count-full", "--p", "3", "--n", "30", "--gamma", "2"],
 ])
 def test_malformed_input_exits_2_without_traceback(capsys, argv):
     assert main(argv) == 2

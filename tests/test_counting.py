@@ -110,6 +110,16 @@ def test_count_full_gamma_one_rejected():
         ct.count_full(ctx, ctx.one())
 
 
+def test_count_full_cap():
+    """q - 2 scalar steps: refused above COUNT_FULL_CAP, before any step."""
+    big = make_field(2, 16)
+    with pytest.raises(FieldTooLarge):
+        ct.count_full(big, big.el_at(2))
+    top = make_field(32749)  # the largest prime under the cap
+    assert top.q <= ct.COUNT_FULL_CAP
+    assert ct.count_full(top, top.from_int(2)) >= 0
+
+
 def test_nu_p_known_values():
     r = ct.nu_p(11)
     assert r.nu == 3 and 7 in r.argmax

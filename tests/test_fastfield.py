@@ -132,21 +132,60 @@ def test_chain_value_tables_on_many_rows(p, n, monkeypatch):
                                         for x in range(q)]
 
 
+@pytest.mark.parametrize("p,n", [(5, 1), (2, 2), (3, 2), (7, 1), (2, 3)])
+def test_chain_value_tables_share_prefixes(p, n, monkeypatch):
+    """Prefix runs cut by block edges, in grid order and shuffled, against the scalar chain."""
+    from ffperm.carlitz import Chain, _chain_value
+    ctx = make_field(p, n)
+    t = ff.tables(ctx)
+    q = ctx.q
+    rng = np.random.default_rng(q)
+    for length in (1, 2, 3):
+        grid = ff.chain_grid(q, length)
+        if length == 3 and q > 5:
+            keep = np.sort(rng.choice(len(grid[0]), 3000, replace=False))
+            grid = [g[keep] for g in grid]  # still lexicographic, with runs of every length
+        perm = rng.permutation(len(grid[0]))
+        monkeypatch.setattr(ff, "ROW_BLOCK", 13 * q)  # 13 > q rows: runs shared, cut at edges
+        lex = ff.chain_value_tables(t, grid)
+        shuffled = ff.chain_value_tables(t, [g[perm] for g in grid])
+        monkeypatch.setattr(ff, "ROW_BLOCK", q * q)  # q rows a block: every stage on every row
+        assert (ff.chain_value_tables(t, grid) == lex).all()
+        assert (shuffled == lex[perm]).all()
+        for r in rng.choice(len(grid[0]), 40, replace=False):
+            ch = Chain(ctx, tuple(ctx.el_at(int(a[r])) for a in grid))
+            assert lex[r].tolist() == [ctx.index_of(_chain_value(ch, ctx.el_at(x)))
+                                       for x in range(q)]
+
+
 def test_rank2_coeff_rows_match_scalar():
     from ffperm.carlitz import Chain, expand_chain_by_powers
-    for p, n in [(5, 1), (3, 2), (7, 1)]:
+    for p, n in [(5, 1), (3, 2), (7, 1), (2, 3)]:
         ctx = make_field(p, n)
         t = ff.tables(ctx)
         q = ctx.q
         rng = np.random.default_rng(q)
-        m = 20
-        a0 = rng.integers(1, q, m).astype(np.int32)
-        a1 = rng.integers(0, q, m).astype(np.int32)
-        a2 = rng.integers(1, q, m).astype(np.int32)
-        a3 = rng.integers(0, q, m).astype(np.int32)
-        rows = ff.rank2_coeff_rows(t, a0, a1, a2, a3)
-        for r in range(m):
-            ch = Chain(ctx, tuple(ctx.el_at(int(a[r])) for a in (a0, a1, a2, a3)))
+
+        def units(m):
+            return rng.integers(1, q, m).astype(np.int32)
+
+        def full(m):
+            return rng.integers(0, q, m).astype(np.int32)
+
+        a2 = units(3)
+        cols = [np.concatenate(c) for c in zip(
+            (units(20), full(20), units(20), full(20)),            # random tuples
+            (units(12), np.full(12, full(1)[0], np.int32),         # one (a1, a2), many a0, a3
+             np.full(12, units(1)[0], np.int32), full(12)),
+            (units(6), np.zeros(6, np.int32), units(6), full(6)),  # case (a): a1 = 0
+            (units(3), t.neg[t.inv0[a2]], a2, full(3)),            # case (b): a1 + a2^-1 = 0
+        )]
+        rows = ff.rank2_coeff_rows(t, *cols)
+        assert len(rows) > q
+        few = ff.rank2_coeff_rows(t, *(c[-4:] for c in cols))  # fewer rows than q
+        assert (few == rows[-4:]).all()
+        for r in range(len(rows)):
+            ch = Chain(ctx, tuple(ctx.el_at(int(a[r])) for a in cols))
             expect = expand_chain_by_powers(ch).coeffs
             assert rows[r].tolist() == [ctx.index_of(c) for c in expect]
 
