@@ -249,7 +249,7 @@ def chain_value_tables(t: FieldTables, a_list: list[np.ndarray]) -> np.ndarray:
     block = max(1, ROW_BLOCK // q)
     for s in range(0, m, block):
         cols = [a[s:s + block] for a in a_list]
-        if len(cols[0]) > q and len(cols) > 2:
+        if len(cols[0]) > q and len(cols) > 2:  # (a0, a1) alone is one stage
             out[s:s + block] = _shared_prefix_tables(t, cols)
             continue
         a0, a1, *rest = cols
