@@ -397,11 +397,21 @@ def cor_rank2_bound(ctx: FieldCtx, nu_p: int) -> int:
     return ctx.q - ctx.q // ctx.p - 1 - nu_p
 
 
+def _weight_floor(q: int, rank: int) -> Fraction:
+    """q/(rank + 1) - 2, the weight lower bound at a rank."""
+    return Fraction(q, rank + 1) - 2
+
+
+def _degree_rank_floor(q: int, deg):
+    """q - 1 - deg, the rank lower bound at a degree (int or array)."""
+    return q - 1 - deg
+
+
 def got_bounds(wt: int, q: int, rank: int) -> tuple[Fraction, Fraction]:
     """(rank lower bound from a weight, weight lower bound from a rank)."""
     if wt < 1 or rank < 1:
         raise BadRange("weight and rank must be >= 1")
-    return (Fraction(q, wt + 2) - 1, Fraction(q, rank + 1) - 2)
+    return (Fraction(q, wt + 2) - 1, _weight_floor(q, rank))
 
 
 def degree_rank_check(f: Poly, rank: int) -> bool:
@@ -409,7 +419,7 @@ def degree_rank_check(f: Poly, rank: int) -> bool:
     d = degree(f)
     if d is None:
         return False
-    return rank >= f.ctx.q - 1 - d
+    return rank >= _degree_rank_floor(f.ctx.q, d)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Solution counting for exponential-linear equations.
 
-Central objects: window counts of gamma^(i+1) = i*c + d, the full-range
-count over i in [1, q-2], the prime-field maximum nu_p of that count over
-gamma != 1, and the CRT matching count for coprime-period functions.
+Central objects: window counts of gamma^(i+1) = i*c + d, taken by one
+incremental pass that a window longer than its period p(q-1) reduces by
+that period, under one step cap; the full-range count over i in [1, q-2]
+as one such window; the prime-field maximum nu_p of that count over
+gamma != 1; and the CRT matching count for coprime-period functions.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import (BadRange, CompositeP, EvenCharacteristic, FieldTooLarge,
                      GammaOne, NonCoprimePeriods, ZeroC)
-from .gf import Fe, FieldCtx, factorize, is_prime, make_field
+from .gf import Fe, FieldCtx, factorize, is_prime
 
 __all__ = [
     "CountQuery", "NuRow", "count_exp_linear", "count_exp_linear_naive",
@@ -28,17 +30,15 @@ __all__ = [
 
 NU_P_CAP = 1 << 15  # nu_p is O(p^2) time; the 10^4 scan and its benchmark band fit
 _NU_BLOCK = 1 << 15  # kernel elements per int32 block, so the temporaries stay in cache
-# count_full takes q - 2 scalar steps, up to 40 us each (F_(2^15): 1.3 s a call);
-# nu_p_naive's prime fields stay under it, since nu_p itself stops at NU_P_CAP
-COUNT_FULL_CAP = 1 << 15
+# steps of count_exp_linear's one pass, up to 40 us each (count_full on F_(2^15): 1.3 s)
+COUNT_STEP_CAP = 1 << 15
 
 
 @dataclass(frozen=True)
 class CountQuery:
     """Window query: how many i in [L, L+M] satisfy gamma^(i+1) = i*c + d.
 
-    i enters the right side through its image mod p; the loop index and
-    the embedded value are tracked separately so windows past p behave.
+    i enters the right side through its image mod p.
     """
 
     ctx: FieldCtx
@@ -70,34 +70,38 @@ class NuRow:
             raise AssertionError("positive nu needs a witness gamma")
 
 
-def _power_at(gamma: Fe, e: int) -> Fe | None:
-    """gamma^e with 0^0 = 1; None when the power does not exist (0^neg)."""
-    if not gamma and e < 0:
-        return None
-    return gamma ** e
-
-
 def count_exp_linear(qr: CountQuery) -> int:
-    """Single incremental pass over the window: one multiply per step."""
-    ctx = qr.ctx
-    gamma, c, d = qr.gamma, qr.c, qr.d
+    """Single incremental pass over the window: one multiply per step.
+
+    The right side gains c per step and wraps by itself, since p*c = 0.
+    The pair (gamma^(i+1), i mod p) repeats every p(q-1) steps, because
+    the order of gamma divides q - 1 (and 0^(i+1) = 0 for i >= 0), so a
+    longer window counts as whole periods plus a prefix of one walk of
+    min(M + 1, p(q-1)) steps; more than COUNT_STEP_CAP is refused first.
+    """
+    ctx, gamma, c, d = qr.ctx, qr.gamma, qr.c, qr.d
+    lo, hi = qr.L, qr.L + qr.M
     count = 0
     if not gamma:
-        # powers of zero don't iterate; test each exponent directly
-        for i in range(qr.L, qr.L + qr.M + 1):
-            pw = _power_at(gamma, i + 1)
-            if pw is not None and pw == c * ctx.from_int(i % ctx.p) + d:
-                count += 1
-        return count
-    pw = _power_at(gamma, qr.L + 1)
-    emb = ctx.from_int(qr.L % ctx.p)
-    rhs = c * emb + d
-    for _ in range(qr.M + 1):
+        # 0^0 = 1 at i = -1; below it the power does not exist
+        count = int(lo <= -1 <= hi and d - c == ctx.one())
+        lo = max(lo, 0)
+    n = max(hi - lo + 1, 0)
+    period = ctx.p * (ctx.q - 1)
+    steps = min(n, period)
+    if steps > COUNT_STEP_CAP:
+        raise FieldTooLarge(f"the window pass walks min({n}, p(q-1) = {period}) "
+                            f"steps, over the {COUNT_STEP_CAP} cap")
+    pw = gamma ** (lo + 1)
+    rhs = c * ctx.from_int(lo) + d
+    hits = []  # the steps that solve
+    for k in range(steps):
         if pw == rhs:
-            count += 1
+            hits.append(k)
         pw = pw * gamma
-        rhs = rhs + c  # tracks c*(i mod p) + d as the embedded i advances
-    return count
+        rhs = rhs + c
+    whole, rest = divmod(n, period)
+    return count + whole * len(hits) + sum(k < rest for k in hits)
 
 
 def count_exp_linear_naive(qr: CountQuery) -> int:
@@ -105,8 +109,9 @@ def count_exp_linear_naive(qr: CountQuery) -> int:
     ctx = qr.ctx
     count = 0
     for i in range(qr.L, qr.L + qr.M + 1):
-        pw = _power_at(qr.gamma, i + 1)
-        if pw is not None and pw == qr.c * ctx.from_int(i % ctx.p) + qr.d:
+        if not qr.gamma and i < -1:
+            continue  # 0^(i+1) does not exist; 0^0 = 1 at i = -1
+        if qr.gamma ** (i + 1) == qr.c * ctx.from_int(i % ctx.p) + qr.d:
             count += 1
     return count
 
@@ -136,43 +141,16 @@ def window_bound(M: int) -> float:
 
 
 def count_full(ctx: FieldCtx, gamma: Fe) -> int:
-    """|{1 <= i <= q-2 : gamma^(i+1) = i(1-gamma) + 1}| (i taken mod p)."""
-    if ctx.q > COUNT_FULL_CAP:
-        raise FieldTooLarge(f"count_full needs q <= {COUNT_FULL_CAP}, got {ctx.q}")
+    """|{1 <= i <= q-2 : gamma^(i+1) = i(1-gamma) + 1}| (i taken mod p).
+
+    The window starts at i = 0, which solves only for gamma = 1: the count
+    is the same, and q = 2's empty range is still a window.
+    """
     gamma = ctx.el(gamma)
-    if gamma == ctx.one():
-        raise GammaOne("gamma = 1 makes the equation degenerate")
-    if ctx.n == 1:
-        # prime field: plain integer arithmetic, same incremental pass
-        p = ctx.p
-        g = gamma.coeffs[0]
-        c = (1 - g) % p
-        count = 0
-        pw = g * g % p
-        rhs = (c + 1) % p
-        for _ in range(1, p - 1):
-            if pw == rhs:
-                count += 1
-            pw = pw * g % p
-            rhs = (rhs + c) % p
-        return count
     one = ctx.one()
-    c = one - gamma
-    count = 0
-    pw = gamma * gamma  # gamma^(i+1) at i = 1
-    rhs = c + one       # i(1-gamma) + 1 at i = 1
-    emb = 1
-    for _ in range(1, ctx.q - 1):
-        if pw == rhs:
-            count += 1
-        pw = pw * gamma
-        emb += 1
-        if emb == ctx.p:
-            emb = 0
-            rhs = one  # wrap: i mod p returns to 0
-        else:
-            rhs = rhs + c
-    return count
+    if gamma == one:
+        raise GammaOne("gamma = 1 makes the equation degenerate")
+    return count_exp_linear(CountQuery(ctx, gamma, one - gamma, one, 0, ctx.q - 2))
 
 
 # ---------------------------------------------------------------------------
@@ -190,17 +168,23 @@ def _nu_row(p: int, nu: int, argmax: list[int]) -> NuRow:
 
 
 def nu_p_naive(p: int) -> NuRow:
-    """Per-gamma incremental passes; the test oracle for `nu_p`."""
+    """Per-gamma integer passes of count_full's equation; the test oracle for `nu_p`."""
+    _check_nu_cap(p)
     _check_odd_prime(p)
-    ctx = make_field(p)
     best, arg = 0, []
     for g in range(p):
         if g == 1:
             continue
-        c = count_full(ctx, ctx.from_int(g))
-        if c > best:
-            best, arg = c, [g]
-        elif c == best and c > 0:
+        c = (1 - g) % p
+        count = 0
+        pw, rhs = g * g % p, (c + 1) % p  # both sides at i = 1
+        for _ in range(1, p - 1):
+            count += pw == rhs
+            pw = pw * g % p
+            rhs = (rhs + c) % p
+        if count > best:
+            best, arg = count, [g]
+        elif count == best and count > 0:
             arg.append(g)
     return _nu_row(p, best, arg)
 

@@ -298,9 +298,10 @@ def chain_grid(q: int, n: int) -> list[np.ndarray]:
     a0 and a2..a_n run over the nonzero indices, a1 and a_{n+1} over all
     q; the (q-1)^n q^2 rows are in lexicographic order of the tuple.
     """
-    units, full = np.arange(1, q), np.arange(q)
+    units, full = np.arange(1, q, dtype=np.int32), np.arange(q, dtype=np.int32)
     ranges = [units, full] + [units] * (n - 1) + [full]
-    return [g.ravel().astype(np.int32) for g in np.meshgrid(*ranges, indexing="ij")]
+    check_bytes((n + 2) * (q - 1) ** n * q * q * 4, f"the length-{n} chain grid at q = {q}")
+    return [g.ravel() for g in np.meshgrid(*ranges, indexing="ij")]
 
 
 def chain_coeff_rows(t: FieldTables, a_list: list[np.ndarray]) -> np.ndarray:

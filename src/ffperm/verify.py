@@ -9,6 +9,7 @@ suppressed.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 import timeit
@@ -292,9 +293,10 @@ def check_11(**kw) -> tuple[bool, str]:
         # (column q-1, -sum_x f(x), is zero because every chain permutes F_q)
         special = (sw.coeff_rows[:, 1:q - 2] == 0).all(axis=1)
         sel = deg_ok & ~special
-        if not (3 * sw.weights[sel] > q - 6).all():  # weight > q/3 - 2
+        # an integer weight exceeds q/3 - 2 exactly when it exceeds its floor
+        if not (sw.weights[sel] > math.floor(cz._weight_floor(q, 2))).all():
             viols.append(f"q={q}: weight bound q/3-2")
-        if not (2 >= q - 1 - sw.degrees[sel]).all():
+        if not (2 >= cz._degree_rank_floor(q, sw.degrees[sel])).all():
             viols.append(f"q={q}: degree bound")
     details = "; ".join(viols) if viols else \
         "weight > q/3 - 2 and rank >= q - 1 - deg on all sweep instances"

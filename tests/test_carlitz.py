@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -236,12 +237,20 @@ def test_got_bounds():
     assert lo_weight == Fraction(11, 3) - 2
     with pytest.raises(BadRange):
         cz.got_bounds(0, 11, 2)
+    # criterion 11's strict form: an integer weight is above q/3 - 2
+    # exactly when it is above the floor of that bound
+    for q in range(3, 200):
+        floor = math.floor(cz._weight_floor(q, 2))
+        for w in range(1, q):
+            assert (w > floor) == (w > cz.got_bounds(w, q, 2)[1]) == (3 * w > q - 6)
 
 
 def test_degree_rank_check_on_chains():
     ctx = make_field(11)
     f = cz.expand_chain(chain_of(ctx, -1, 2, 1, -8))
     assert cz.degree_rank_check(f, 2)
+    # criterion 11 takes the same floor over an array of degrees
+    assert cz._degree_rank_floor(11, np.array([9, 8, -1])).tolist() == [1, 2, 11]
 
 
 def test_example_family():

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -117,12 +118,20 @@ def test_count_window(capsys):
                     "--c", "3", "--d", "1", "--L", "1", "--M", "2")
     assert code == 0
     assert json.loads(out)["count"] == 2
+    # a window far past the period p(q-1) = 20 is counted by periods
+    code, out = run(capsys, "count-window", "--p", "5", "--gamma", "2", "--c", "1",
+                    "--d", "0", "--L", "0", "--M", "100000000000")
+    assert code == 0
+    assert json.loads(out)["count"] == 20000000000
 
 
 def test_count_full(capsys):
     code, out = run(capsys, "count-full", "--p", "5", "--gamma", "3")
     assert code == 0
     assert json.loads(out)["count"] == 2
+    code, out = run(capsys, "count-full", "--p", "2", "--gamma", "0")
+    assert code == 0
+    assert json.loads(out)["count"] == 0
 
 
 def test_bounds_f11(capsys):
@@ -229,6 +238,8 @@ def test_usage_errors_exit_2(capsys):
     ["rank", "--poly", '{"field": null, "coeffs": [1]}'],
     ["blahut", "--poly", '{"field": ["p=5"], "coeffs": [1]}'],
     ["count-full", "--p", "3", "--n", "30", "--gamma", "2"],
+    ["count-window", "--p", "3", "--n", "30", "--gamma", "2", "--c", "1", "--d", "0",
+     "--L", "0", "--M", "100000000000"],
 ])
 def test_malformed_input_exits_2_without_traceback(capsys, argv):
     assert main(argv) == 2
@@ -238,7 +249,7 @@ def test_malformed_input_exits_2_without_traceback(capsys, argv):
 # small pools of valid and then broken values, so the draws reach both the
 # handlers' success paths and their error paths (valid first: hypothesis
 # favours the front of a pool)
-INTS = ["3", "1", "7", "0", "-1", "x"]
+INTS = ["3", "1", "7", "0", "-1", "100000000000", "x"]
 VALUES = {
     "--p": ["5", "11", "2", "9", "4", "1", "0", "-1", "x"],
     "--n": ["2", "1", "3", "0", "-1", "z"],
@@ -281,12 +292,25 @@ def cli_argv(draw):
     return argv
 
 
+BUDGET_S = 10  # wall clock per call, so an uncapped path fails instead of hanging
+
+
+def _over_budget(signum, frame):
+    pytest.fail(f"a call ran past its {BUDGET_S} s budget")
+
+
 @settings(max_examples=300, deadline=None)
 @given(cli_argv())
 def test_cli_contract_on_random_argv(argv):
-    """Any argv exits 0, 1 or 2, and never with a traceback."""
+    """Any argv exits 0, 1 or 2 within the budget, and never with a traceback."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    old = signal.signal(signal.SIGALRM, _over_budget)
+    signal.alarm(BUDGET_S)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv

@@ -42,14 +42,17 @@ def test_zero_c_rejected():
 
 
 def test_incremental_equals_naive_random():
+    """Windows up to 400 long span several periods p(q-1) on every field
+    of the pool (F_25's is 120), so the period reduction is exercised."""
     random.seed(31)
     for _ in range(400):
-        p, n = random.choice([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])
+        p, n = random.choice([(2, 1), (2, 2), (2, 3), (3, 1), (5, 1), (7, 1),
+                              (3, 2), (5, 2)])
         ctx = make_field(p, n)
         qr = ct.CountQuery(ctx, ctx.el_at(random.randrange(ctx.q)),
                            ctx.el_at(random.randrange(1, ctx.q)),
                            ctx.el_at(random.randrange(ctx.q)),
-                           random.randrange(-4, 40), random.randrange(30))
+                           random.randrange(-30, 60), random.randrange(400))
         assert ct.count_exp_linear(qr) == ct.count_exp_linear_naive(qr)
 
 
@@ -89,6 +92,8 @@ def test_count_full_oracles():
     assert ct.count_full(ctx5, ctx5.zero()) == 0
     assert ct.count_full(make_field(3, 2), make_field(3, 2).zero()) == 2
     assert ct.count_full(make_field(5, 2), make_field(5, 2).zero()) == 4
+    # q = 2: the range [1, q-2] is empty
+    assert ct.count_full(make_field(2), make_field(2).zero()) == 0
 
 
 def test_count_full_is_the_full_window_count():
@@ -111,13 +116,18 @@ def test_count_full_gamma_one_rejected():
 
 
 def test_count_full_cap():
-    """q - 2 scalar steps: refused above COUNT_FULL_CAP, before any step."""
+    """The pass walks min(M + 1, p(q-1)) steps, refused above
+    COUNT_STEP_CAP before any step; count_full walks q - 1."""
     big = make_field(2, 16)
     with pytest.raises(FieldTooLarge):
         ct.count_full(big, big.el_at(2))
     top = make_field(32749)  # the largest prime under the cap
-    assert top.q <= ct.COUNT_FULL_CAP
+    assert top.q <= ct.COUNT_STEP_CAP
     assert ct.count_full(top, top.from_int(2)) >= 0
+    # 10^11 + 1 steps over F_5: 5 * 10^9 periods of 20 steps and one step more
+    assert ct.count_exp_linear(query(make_field(5), 2, 1, 0, 0, 10 ** 11)) == 2 * 10 ** 10
+    with pytest.raises(FieldTooLarge):  # both the window and the period are too long
+        ct.count_exp_linear(query(make_field(3, 30), 2, 1, 0, 0, 10 ** 11))
 
 
 def test_nu_p_known_values():
@@ -150,6 +160,18 @@ def test_nu_p_matches_naive():
         fast = ct.nu_p(p)
         slow = ct.nu_p_naive(p)
         assert (fast.nu, fast.argmax) == (slow.nu, slow.argmax)
+
+
+def test_nu_p_naive_is_the_max_of_count_full():
+    """The oracle's own integer passes give count_full's max and argmax."""
+    for p in [p for p in range(3, 102, 2) if is_prime(p)]:
+        ctx = make_field(p)
+        counts = {g: ct.count_full(ctx, ctx.from_int(g)) for g in range(p) if g != 1}
+        nu = max(counts.values())
+        row = ct.nu_p_naive(p)
+        assert row.nu == nu
+        assert row.argmax == (tuple(g for g in sorted(counts) if counts[g] == nu)
+                              if nu > 0 else ())
 
 
 def test_conjecture_scan_same_rows_on_one_and_two_cores(monkeypatch):

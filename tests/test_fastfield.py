@@ -210,3 +210,5 @@ def test_sweep_byte_cap_enforced():
     from ffperm.carlitz import sweep_rank1
     with pytest.raises(FieldTooLarge):
         sweep_rank1(make_field(17, 2))  # 288 * 289^2 rows of 289 int32: 26 GiB
+    with pytest.raises(FieldTooLarge):
+        ff.chain_grid(121, 2)  # 4 int32 columns of 120^2 * 121^2 rows: 3.1 GiB
