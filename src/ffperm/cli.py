@@ -165,7 +165,7 @@ def cmd_count_window(args) -> int:
                        ctx.from_int(args.d), args.L, args.M)
     count = ct.count_exp_linear(qr)
     out = {"count": count}
-    if args.M >= 3:
+    if 3 <= args.M <= ctx.p:  # the lemma's range, as in window_bound_scan
         out["bound"] = ct.window_bound(args.M)
         out["within_bound"] = ct.within_window_bound(count, args.M)
     _emit(out)

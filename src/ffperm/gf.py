@@ -77,8 +77,8 @@ def _pmulmod(a, b, mod, p):
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    return _prem(res, mod, p)
+                res[i + j] += ai * bj
+    return _prem([c % p for c in res], mod, p)
 
 
 def _prem(a, mod, p):
@@ -119,33 +119,20 @@ def _pgcd(a, b, p):
 
 
 def _is_irreducible(coeffs, p) -> bool:
-    """coeffs: monic polynomial over F_p, low-to-high, degree >= 1."""
-    n = len(coeffs) - 1
-    if n == 1:
-        return True
-    if coeffs[0] % p == 0:
-        return False  # divisible by x
-    if n <= 3:
-        return all(_peval(coeffs, x, p) != 0 for x in range(p))
-    # x^(p^n) == x mod f, and gcd(x^(p^(n/r)) - x, f) == 1 for prime r | n
+    """Ben-Or's test; coeffs: monic polynomial over F_p, low-to-high, degree >= 1.
+
+    x^(p^i) - x is the product of the monic irreducibles whose degree divides
+    i, and a reducible f has a factor of degree <= n/2, so f is irreducible
+    exactly when gcd(x^(p^i) - x, f) = 1 for i = 1 .. n/2.
+    """
     x = [0, 1]
-    xp = _ppowmod(x, p ** n, coeffs, p)
-    if _ptrim([(a - b) % p for a, b in itertools.zip_longest(xp, x, fillvalue=0)]):
-        return False
-    for r in factorize(n):
-        xk = _ppowmod(x, p ** (n // r), coeffs, p)
-        diff = _ptrim([(a - b) % p for a, b in itertools.zip_longest(xk, x, fillvalue=0)])
-        g = _pgcd(list(coeffs), diff, p)
-        if len(g) - 1 != 0:
+    xp = x
+    for _ in range((len(coeffs) - 1) // 2):
+        xp = _ppowmod(xp, p, coeffs, p)
+        diff = _ptrim([(a - b) % p for a, b in itertools.zip_longest(xp, x, fillvalue=0)])
+        if len(_pgcd(coeffs, diff, p)) > 1:
             return False
     return True
-
-
-def _peval(coeffs, x, p):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
 
 
 def _default_modulus(p: int, n: int) -> tuple[int, ...]:
@@ -294,12 +281,7 @@ class Fe:
         ctx = self.ctx
         if ctx.n == 1:
             return Fe(ctx, ((self.coeffs[0] * other.coeffs[0]) % ctx.p,))
-        prod = [0] * (2 * ctx.n - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    prod[i + j] += a * b
-        red = _prem([c % ctx.p for c in prod], ctx.modulus, ctx.p)
+        red = _pmulmod(self.coeffs, other.coeffs, ctx.modulus, ctx.p)
         return Fe(ctx, tuple(red) + (0,) * (ctx.n - len(red)))
 
     def __pow__(self, e: int):

@@ -171,7 +171,8 @@ def check_6(seed: int = DEFAULT_SEED, **kw) -> tuple[bool, str]:
     return mismatches == 0, details
 
 
-def _closed_form_mismatches(t, a0, a1, a2, a3, chunk: int = 100_000) -> int:
+def _closed_form_mismatches(t, a0, a1, a2, a3) -> int:
+    chunk = 100_000  # rows per comparison, which bounds the temporaries
     bad = 0
     for s in range(0, len(a0), chunk):
         cols = [a[s:s + chunk] for a in (a0, a1, a2, a3)]

@@ -118,11 +118,16 @@ def test_count_window(capsys):
                     "--c", "3", "--d", "1", "--L", "1", "--M", "2")
     assert code == 0
     assert json.loads(out)["count"] == 2
+    # the lemma bounds windows with 3 <= M <= p only, so only those carry the bound
+    code, out = run(capsys, "count-window", "--p", "5", "--gamma", "3",
+                    "--c", "3", "--d", "1", "--L", "1", "--M", "3")
+    assert code == 0
+    assert {"bound", "within_bound"} <= json.loads(out).keys()
     # a window far past the period p(q-1) = 20 is counted by periods
     code, out = run(capsys, "count-window", "--p", "5", "--gamma", "2", "--c", "1",
                     "--d", "0", "--L", "0", "--M", "100000000000")
     assert code == 0
-    assert json.loads(out)["count"] == 20000000000
+    assert json.loads(out) == {"count": 20000000000}
 
 
 def test_count_full(capsys):

@@ -1,12 +1,14 @@
+import itertools
 import math
+import signal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffperm.errors import (BadRange, CompositeP, ReducibleModulus, ZeroElement)
-from ffperm.gf import (Fe, inv0, is_prime, lucas_binom, make_field, order,
-                       parse_field_spec, format_field_spec, primitive_element)
+from ffperm.gf import (Fe, _is_irreducible, inv0, is_prime, lucas_binom, make_field,
+                       order, parse_field_spec, format_field_spec, primitive_element)
 
 
 def test_prime_field_basics():
@@ -21,6 +23,63 @@ def test_prime_field_basics():
 def test_default_modulus_f9_is_x2_plus_1():
     ctx = make_field(3, 2)
     assert ctx.modulus == (1, 0, 1)
+    # frozen default moduli (low to high); they fix every element enumeration
+    frozen = {
+        (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+        (2, 12): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+        (3, 5): (1, 2, 0, 0, 0, 1),
+        (3, 7): (2, 0, 1, 0, 0, 0, 0, 1),
+        (5, 4): (2, 0, 0, 0, 1),
+        (7, 3): (2, 0, 0, 1),
+        (19, 2): (1, 0, 1),
+    }
+    for (p, n), modulus in frozen.items():
+        assert make_field(p, n).modulus == modulus, (p, n)
+
+
+def _has_small_factor(f, p):
+    """Brute force: some monic g with 1 <= deg g <= deg f / 2 divides f."""
+    n = len(f) - 1
+    for d in range(1, n // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            r = list(f)
+            for i in range(n, d - 1, -1):  # long division by x^d + low
+                c = r[i]
+                if c:
+                    r[i] = 0
+                    for j, g in enumerate(low):
+                        r[i - d + j] = (r[i - d + j] - c * g) % p
+            if not any(r):
+                return True
+    return False
+
+
+def test_is_irreducible_matches_factor_search():
+    # every monic polynomial of these degrees, reducible ones of every degree included
+    fields = ([(2, n) for n in range(1, 9)] + [(3, n) for n in range(2, 6)]
+              + [(5, n) for n in range(2, 5)] + [(7, n) for n in range(2, 4)])
+    for p, n in fields:
+        for low in itertools.product(range(p), repeat=n):
+            f = low + (1,)
+            assert _is_irreducible(f, p) == (not _has_small_factor(f, p)), (p, f)
+
+
+FIELD_BUDGET_S = 10  # wall clock, so a slow modulus search fails instead of hanging
+
+
+def _over_budget(signum, frame):
+    pytest.fail(f"make_field ran past its {FIELD_BUDGET_S} s budget")
+
+
+def test_make_field_3_100_within_budget():
+    old = signal.signal(signal.SIGALRM, _over_budget)
+    signal.alarm(FIELD_BUDGET_S)
+    try:
+        ctx = make_field(3, 100)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert ctx.q == 3 ** 100
 
 
 def test_f9_primitive_element():
