@@ -83,9 +83,7 @@ class MobiusMap:
     num: tuple[Fe, Fe]
     den: tuple[Fe, Fe]
 
-    def __post_init__(self):
-        if not (self.num[0] or self.num[1]) or not (self.den[0] or self.den[1]):
-            raise BadParam("Mobius rows must be nonzero")
+    def __post_init__(self):  # a zero row makes the determinant zero too
         if not self.det:
             raise BadParam("Mobius determinant must be nonzero")
 

@@ -220,7 +220,7 @@ def cmd_sweep_rank2(args) -> int:
 
 def cmd_blahut(args) -> int:
     f = _load_poly(args, lco.BLAHUT_CAP)
-    lc, fw, eq = lco.blahut_check(f, fold=not args.no_fold)
+    lc, fw, eq = lco.blahut_check(f)
     _emit({"linear_complexity": lc, "folded_weight": fw, "equal": eq})
     return EXIT_OK if eq else EXIT_VERIFY
 
@@ -272,8 +272,6 @@ OPTIONS = {
     "d": ("--d", {"type": int, "required": True}),
     "L": ("--L", {"type": int, "required": True}),
     "M": ("--M", {"type": int, "required": True}),
-    "no-fold": ("--no-fold", {"action": "store_true",
-                              "help": "compare against the raw weight instead"}),
     "show-poly": ("--show-poly", {"action": "store_true"}),
     "seed": ("--seed", {"type": int, "default": verify.DEFAULT_SEED}),
     "nu-limit": ("--nu-limit", {"type": int, "default": verify.NU_SCAN_LIMIT,
@@ -297,7 +295,7 @@ COMMANDS = {
     "bounds": (cmd_bounds, "rank-2 weight bounds for a field", FIELD),
     "sweep-rank1": (cmd_sweep_rank1, "exhaustive rank-1 weight sweep", FIELD + ("format",)),
     "sweep-rank2": (cmd_sweep_rank2, "exhaustive normalized rank-2 sweep", FIELD + ("format",)),
-    "blahut": (cmd_blahut, "linear complexity vs folded weight", FIELD + ("poly", "no-fold")),
+    "blahut": (cmd_blahut, "linear complexity vs folded weight", FIELD + ("poly",)),
     "example-f11": (cmd_example_f11, "the sharp family over F_(11^n)", ("f11-n", "show-poly")),
     "selftest": (cmd_selftest, "run the full verification suite", ("seed", "nu-limit")),
 }

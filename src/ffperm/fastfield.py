@@ -77,12 +77,11 @@ class FieldTables:
             del s
         self.add = add
         mul = np.zeros((q, q), dtype=np.int32)
-        if q > 1:
-            lg = log[1:]
-            e = lg[:, None] + lg[None, :]
-            np.subtract(e, q - 1, out=e, where=e >= q - 1)
-            mul[1:, 1:] = exp[e]
-            del e
+        lg = log[1:]
+        e = lg[:, None] + lg[None, :]
+        np.subtract(e, q - 1, out=e, where=e >= q - 1)
+        mul[1:, 1:] = exp[e]
+        del e
         self.mul = mul
         self.neg = (((p - elems) % p) @ self.place).astype(np.int32)
         inv = np.zeros(q, dtype=np.int32)
@@ -92,7 +91,6 @@ class FieldTables:
         self.emb = (np.arange(p, dtype=np.int64) * self.place[0]).astype(np.int32)
 
         self._interp_matrix = None
-        self._elems_f = None  # (n, q) float components, in the matrix's dtype
 
     # -- powers with the 0**0 = 1 convention -------------------------------
     def pow_outer(self, base: np.ndarray, exps: np.ndarray) -> np.ndarray:
@@ -154,7 +152,6 @@ class FieldTables:
                 for k2 in range(n):
                     T[k, :, k2] = ef[k2][times_ek][WT]
             self._interp_matrix = T.reshape(q * n, q * n)
-            self._elems_f = ef
         return self._interp_matrix
 
     def batch_eval(self, coeff_rows: np.ndarray) -> np.ndarray:
@@ -172,30 +169,25 @@ class FieldTables:
     def batch_interp(self, table_rows: np.ndarray) -> np.ndarray:
         """Reduced coefficients of value-table rows (indices in, indices out).
 
-        One GEMM per block of rows; its exact integer products are reduced
-        mod p and recombined into indices in int32 (int64 beside a float64
-        matrix, whose products can pass 2^31).
+        One GEMM over the given rows (chain_coeff_rows feeds it in blocks);
+        its exact integer products are reduced mod p and recombined into
+        indices in int32 (int64 beside a float64 matrix, whose products can
+        pass 2^31).
         """
         T = self.interp_matrix()
-        ef = self._elems_f
         m, q = table_rows.shape
         n, p = self.n, self.p
         acc = np.int32 if T.dtype == np.float32 else np.int64
-        out = np.empty_like(table_rows)
-        chunk = max(1, ROW_BLOCK // (q * n))
-        flat = np.empty((min(chunk, m), n, q), dtype=T.dtype)
-        for s in range(0, m, chunk):
-            rows = table_rows[s:s + chunk]
-            c = len(rows)
-            for k in range(n):
-                flat[:c, k] = ef[k][rows]
-            res = (flat[:c].reshape(c, n * q) @ T).astype(acc).reshape(c, n, q)
-            res %= p
-            dst = out[s:s + c]
-            dst[:] = res[:, 0]
-            for k in range(1, n):  # index = sum_k component_k p^(n-1-k), by Horner
-                dst *= p
-                dst += res[:, k]
+        ef = self.elems.T.astype(T.dtype)  # ef[k] = component k of every element
+        flat = np.empty((m, n, q), dtype=T.dtype)
+        for k in range(n):
+            flat[:, k] = ef[k][table_rows]
+        res = (flat.reshape(m, n * q) @ T).astype(acc).reshape(m, n, q)
+        res %= p
+        out = res[:, 0].astype(table_rows.dtype)
+        for k in range(1, n):  # index = sum_k component_k p^(n-1-k), by Horner
+            out *= p
+            out += res[:, k]
         return out
 
 

@@ -16,12 +16,16 @@ import itertools
 import math
 from functools import lru_cache
 
-from .errors import BadRange, CompositeP, MixedFields, ReducibleModulus, ZeroElement
+from .errors import BadRange, CompositeP, FieldTooLarge, MixedFields, ReducibleModulus, ZeroElement
 
 __all__ = [
     "FieldCtx", "Fe", "make_field", "inv0", "order", "primitive_element",
     "lucas_binom", "is_prime", "parse_field_spec", "format_field_spec",
 ]
+
+FACTOR_BOUND = 1 << 20  # largest trial divisor of factorize (about 0.12 s)
+WORK_CAP = 1 << 25  # work of a modulus or primitive-element search, in units of about
+#                     0.12 us; a product in F_(p^n) costs n^2 + 64 (64 for the calls)
 
 
 def is_prime(m: int) -> bool:
@@ -49,10 +53,14 @@ def is_prime(m: int) -> bool:
 
 
 def factorize(m: int) -> list[int]:
-    """Distinct prime factors of m, ascending (trial division)."""
+    """Distinct prime factors of m, ascending, by trial division up to
+    FACTOR_BOUND; a cofactor then left over FACTOR_BOUND^2 raises FieldTooLarge."""
     out = []
     d = 2
     while d * d <= m:
+        if d > FACTOR_BOUND:
+            raise FieldTooLarge(f"trial division to {FACTOR_BOUND} leaves a "
+                                f"{m.bit_length()}-bit cofactor unfactored")
         if m % d == 0:
             out.append(d)
             while m % d == 0:
@@ -95,13 +103,13 @@ def _prem(a, mod, p):
 
 
 def _ppowmod(a, e, mod, p):
-    result = [1]
+    """a^e mod mod, e >= 1: bit_length(e) - 1 squarings, bit_count(e) - 1 products."""
     base = _prem(a, mod, p)
-    while e:
-        if e & 1:
+    result = base
+    for bit in bin(e)[3:]:
+        result = _pmulmod(result, result, mod, p)
+        if bit == "1":
             result = _pmulmod(result, base, mod, p)
-        base = _pmulmod(base, base, mod, p)
-        e >>= 1
     return result
 
 
@@ -118,32 +126,48 @@ def _pgcd(a, b, p):
     return a
 
 
-def _is_irreducible(coeffs, p) -> bool:
-    """Ben-Or's test; coeffs: monic polynomial over F_p, low-to-high, degree >= 1.
+def _least_factor_degree(coeffs, p) -> int:
+    """Ben-Or's test; coeffs: monic f over F_p, low-to-high, degree n >= 1.
 
     x^(p^i) - x is the product of the monic irreducibles whose degree divides
-    i, and a reducible f has a factor of degree <= n/2, so f is irreducible
-    exactly when gcd(x^(p^i) - x, f) = 1 for i = 1 .. n/2.
+    i, and a reducible f has a factor of degree <= n/2, so the least i <= n/2
+    with gcd(x^(p^i) - x, f) != 1 is the least degree of a factor of f, and 0
+    (no such i) means f is irreducible.  Step i is one power by p mod f.
     """
     x = [0, 1]
     xp = x
-    for _ in range((len(coeffs) - 1) // 2):
+    for i in range(1, (len(coeffs) - 1) // 2 + 1):
         xp = _ppowmod(xp, p, coeffs, p)
         diff = _ptrim([(a - b) % p for a, b in itertools.zip_longest(xp, x, fillvalue=0)])
         if len(_pgcd(coeffs, diff, p)) > 1:
-            return False
-    return True
+            return i
+    return 0
+
+
+def _power_work(e: int, n: int) -> int:
+    """Work of one power a^e mod a degree-n modulus, in WORK_CAP's units."""
+    return (e.bit_length() + e.bit_count() - 2) * (n * n + 64)
+
+
+def _check_work(work: int, what: str) -> None:
+    """Raise FieldTooLarge before work past WORK_CAP."""
+    if work > WORK_CAP:
+        raise FieldTooLarge(f"{what} needs more than {WORK_CAP} units of work")
 
 
 def _default_modulus(p: int, n: int) -> tuple[int, ...]:
-    """Monic irreducible of degree n minimizing (c_{n-1}, ..., c0) lexicographically."""
-    if n == 1:
-        return (0, 1)
-    for top in itertools.product(range(p), repeat=n):
-        cand = tuple(reversed(top)) + (1,)  # low-to-high
-        if _is_irreducible(cand, p):
+    """Monic irreducible of degree n minimizing (c_{n-1}, ..., c0) lexicographically:
+    candidate k has c_j = digit j of k in base p.  The search stops before a
+    candidate whose whole test (n // 2 Ben-Or steps) could take it past WORK_CAP."""
+    step = _power_work(p, n)
+    work = 0
+    for k in itertools.count():
+        _check_work(work + n // 2 * step, f"the modulus search for F_({p}^{n})")
+        cand = tuple(k // p ** j % p for j in range(n)) + (1,)  # low-to-high
+        d = _least_factor_degree(cand, p)
+        if not d:
             return cand
-    raise ReducibleModulus(f"no irreducible of degree {n} over F_{p}")  # unreachable
+        work += d * step
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +186,16 @@ class FieldCtx:
             raise BadRange(f"extension degree must be >= 1, got {n}")
         if not is_prime(p):
             raise CompositeP(f"{p} is not prime")
-        if modulus is None:
-            modulus = _default_modulus(p, n)
-        else:
+        if modulus is not None:
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != n + 1 or modulus[-1] != 1:
                 raise ReducibleModulus(
                     f"modulus must be monic of degree {n}, got {list(modulus)}")
-            if not _is_irreducible(modulus, p):
+            _check_work(n // 2 * _power_work(p, n), f"testing a modulus of F_({p}^{n})")
+            if _least_factor_degree(modulus, p):
                 raise ReducibleModulus(f"modulus {list(modulus)} is reducible over F_{p}")
+        if modulus is None or n == 1:  # every monic x - c gives the one F_p
+            modulus = _default_modulus(p, n)
         self.p = p
         self.n = n
         self.q = p ** n
@@ -340,13 +365,16 @@ def primitive_element(ctx: FieldCtx) -> Fe:
     """Least generator of F_q^* in enumeration order (2, 3, ... for prime fields).
 
     a generates exactly when a^((q-1)/f) != 1 for every prime f | q-1;
-    each candidate is dropped at its first power equal to 1.
+    each candidate is dropped at its first power equal to 1, and the search
+    stops before one whose whole test could take it past WORK_CAP.
     """
     if ctx._primitive is not None:
         return ctx._primitive
     one = ctx.one()
     cofactors = [(ctx.q - 1) // f for f in factorize(ctx.q - 1)]
+    test = sum(_power_work(e, ctx.n) for e in cofactors)
     for i in range(2, ctx.q):
+        _check_work((i - 1) * test, f"the primitive element search in F_({ctx.p}^{ctx.n})")
         a = ctx.el_at(i)
         if all(a ** e != one for e in cofactors):
             ctx._primitive = a

@@ -122,35 +122,30 @@ def folded_weight(f: Poly) -> int:
     return w
 
 
-def blahut_rows(t: ff.FieldTables, coeff_rows: np.ndarray, table_rows: np.ndarray,
-                fold: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """(linear complexity, weight) per row, for s_n = f(alpha^n).
+def blahut_rows(t: ff.FieldTables, coeff_rows: np.ndarray,
+                table_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(linear complexity, folded weight) per row, for s_n = f(alpha^n).
 
     Row r of coeff_rows holds the reduced coefficients of one f and row r
     of table_rows its value table, both as element indices.  The linear
     complexity comes from the sequence alone: the table read at the powers
     of alpha, run through berlekamp_massey_rows on two periods.  The weight
-    is folded_weight's (the x^(q-1) coefficient folded into the constant),
-    or the raw weight when fold=False, which exposes the mismatch for
-    polynomials with an x^(q-1) term.
+    is folded_weight's: the x^(q-1) coefficient folded into the constant.
     """
     q = t.q
     s = table_rows[:, t.exp]
     lc = berlekamp_massey_rows(t, np.hstack([s, s]))
-    if fold:
-        w = (np.count_nonzero(coeff_rows[:, 1:q - 1], axis=1)
-             + (t.add[coeff_rows[:, 0], coeff_rows[:, q - 1]] != 0))
-    else:
-        w = ff.weight_rows(coeff_rows)
+    w = (np.count_nonzero(coeff_rows[:, 1:q - 1], axis=1)
+         + (t.add[coeff_rows[:, 0], coeff_rows[:, q - 1]] != 0))
     return lc, w
 
 
-def blahut_check(f: Poly, fold: bool = True) -> tuple[int, int, bool]:
-    """(linear complexity, weight, equal?) for one f, by blahut_rows."""
+def blahut_check(f: Poly) -> tuple[int, int, bool]:
+    """(linear complexity, folded weight, equal?) for one f, by blahut_rows."""
     ctx = f.ctx
     if ctx.q > BLAHUT_CAP:
         raise FieldTooLarge(f"q = {ctx.q} exceeds cap {BLAHUT_CAP}")
     t = ff.tables(ctx)
     row = ff.coeff_row(f)
-    lc, w = (int(v[0]) for v in blahut_rows(t, row, t.batch_eval(row), fold))
+    lc, w = (int(v[0]) for v in blahut_rows(t, row, t.batch_eval(row)))
     return lc, w, lc == w

@@ -21,7 +21,7 @@ from . import carlitz as cz
 from . import counting as ct
 from . import fastfield as ff
 from . import lincomp as lco
-from .gf import is_prime, make_field
+from .gf import make_field
 from .polyring import weight
 
 __all__ = ["CheckResult", "run_check", "run_all", "CHECKS", "NU_SCAN_LIMIT"]
@@ -51,20 +51,6 @@ def _nu_rows(limit: int) -> list:
         rows, _ = ct.conjecture_scan(3, limit)
         _nu_rows_cache[limit] = rows
     return _nu_rows_cache[limit]
-
-
-def _prime_powers(lo: int, hi: int) -> list[tuple[int, int]]:
-    out = []
-    for p in range(2, hi + 1):
-        if not is_prime(p):
-            continue
-        q, n = p, 1
-        while q <= hi:
-            if q >= lo:
-                out.append((p, n))
-            q *= p
-            n += 1
-    return sorted(out, key=lambda t: t[0] ** t[1])
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +136,8 @@ def check_5(**kw) -> tuple[bool, str]:
 def check_6(seed: int = DEFAULT_SEED, **kw) -> tuple[bool, str]:
     mismatches = 0
     fields = 0
-    for p, n in _prime_powers(3, 27):
+    for p, n in [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4),
+                 (17, 1), (19, 1), (23, 1), (5, 2), (3, 3)]:  # every 3 <= q <= 27, ascending
         t = ff.tables(make_field(p, n))
         mismatches += _closed_form_mismatches(t, *ff.chain_grid(t.q, 2))
         fields += 1

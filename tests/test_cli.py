@@ -177,6 +177,12 @@ def test_example_f11(capsys):
     assert obj["weight"] == 6 and obj["permutation"] is True
 
 
+def test_weight_over_a_degree_1_modulus(capsys):
+    code, out = run(capsys, "weight", "--field", "p=5,mod=3,1",
+                    "--poly", '{"field":"p=5","coeffs":[0,1]}')
+    assert code == 0 and json.loads(out)["weight"] == 1
+
+
 def test_poly_from_file(tmp_path, capsys):
     path = tmp_path / "f.json"
     path.write_text('{"field": "p=5", "coeffs": [0, 1, 1, 2]}')
@@ -221,6 +227,36 @@ def test_usage_errors_exit_2(capsys):
     assert main(["scan-nu", "--range", "oops"]) == 2
 
 
+BUDGET_S = 10  # wall clock per call, so an uncapped path fails instead of hanging
+
+
+@contextlib.contextmanager
+def _budget():
+    def over(signum, frame):
+        pytest.fail(f"a call ran past its {BUDGET_S} s budget")
+    old = signal.signal(signal.SIGALRM, over)
+    signal.alarm(BUDGET_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+# field construction past its caps: q - 1 not factored by trial division,
+# or a modulus search past its work cap
+FIELD_CAPS = [
+    ["field-info", "--p", "2", "--n", "61"],
+    ["field-info", "--p", "2", "--n", "89"],
+    ["field-info", "--p", "2", "--n", "127"],
+    ["field-info", "--p", "3", "--n", "97"],
+    ["field-info", "--p", "5", "--n", "43"],
+    ["field-info", "--p", "2", "--n", "400"],
+    ["bounds", "--p", "3", "--n", "2000"],
+    ["rank", "--poly", '{"field":"p=2,n=3000","coeffs":[1]}'],
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["rank", "--poly", "{bad"],
     ["expand", "--p", "5", "--chain=a,b"],
@@ -245,10 +281,15 @@ def test_usage_errors_exit_2(capsys):
     ["count-full", "--p", "3", "--n", "30", "--gamma", "2"],
     ["count-window", "--p", "3", "--n", "30", "--gamma", "2", "--c", "1", "--d", "0",
      "--L", "0", "--M", "100000000000"],
-])
+    ["blahut", "--poly", '{"field":"p=5","coeffs":[1,0,0,0,4]}', "--no-fold"],
+] + FIELD_CAPS)
 def test_malformed_input_exits_2_without_traceback(capsys, argv):
-    assert main(argv) == 2
-    assert "Traceback" not in capsys.readouterr().err
+    with _budget():
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 or err.startswith("usage:")  # one line, or argparse's
+    assert argv not in FIELD_CAPS or err.startswith("error: FieldTooLarge: ")
 
 
 # small pools of valid and then broken values, so the draws reach both the
@@ -257,8 +298,9 @@ def test_malformed_input_exits_2_without_traceback(capsys, argv):
 INTS = ["3", "1", "7", "0", "-1", "100000000000", "x"]
 VALUES = {
     "--p": ["5", "11", "2", "9", "4", "1", "0", "-1", "x"],
-    "--n": ["2", "1", "3", "0", "-1", "z"],
-    "--field": ["p=5", "p=3,n=2", "p=2,n=3", "p=4", "p=x", "n=2", "p=3,n=2,mod=1,1,1", ""],
+    "--n": ["2", "1", "3", "61", "3000", "0", "-1", "z"],
+    "--field": ["p=5", "p=3,n=2", "p=2,n=3", "p=2,n=61", "p=4", "p=x", "n=2",
+                "p=3,n=2,mod=1,1,1", ""],
     "--poly": ['{"field":"p=5","coeffs":[0,1,1,2]}', '{"field":"p=3,n=2","coeffs":[[0,1],[1]]}',
                '{"field":"p=5","coeffs":[0,0,1]}', '{"field":"p=5","coeffs":[]}',
                '{"field":"p=4","coeffs":[1]}', '{"coeffs":[1]}', '{"field":5,"coeffs":[1]}',
@@ -297,25 +339,12 @@ def cli_argv(draw):
     return argv
 
 
-BUDGET_S = 10  # wall clock per call, so an uncapped path fails instead of hanging
-
-
-def _over_budget(signum, frame):
-    pytest.fail(f"a call ran past its {BUDGET_S} s budget")
-
-
 @settings(max_examples=300, deadline=None)
 @given(cli_argv())
 def test_cli_contract_on_random_argv(argv):
     """Any argv exits 0, 1 or 2 within the budget, and never with a traceback."""
     out, err = io.StringIO(), io.StringIO()
-    old = signal.signal(signal.SIGALRM, _over_budget)
-    signal.alarm(BUDGET_S)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
+    with _budget(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv

@@ -67,16 +67,25 @@ def test_batch_eval_matches_scalar(p, n):
                                        (3, 5, np.float32)])
 def test_batch_interp_exact_at_float32_edge(p, n, dtype, monkeypatch):
     # q*n*(p-1)^2: 15,687,500 < 2^24 at p = 251, 16,842,752 >= 2^24 at p = 257
-    t = ff.tables(make_field(p, n))
+    from ffperm.carlitz import Chain, expand_chain_by_powers
+    ctx = make_field(p, n)
+    t = ff.tables(ctx)
     q = t.q
     assert t.interp_matrix().dtype == dtype
-    monkeypatch.setattr(ff, "ROW_BLOCK", 3 * q * n)  # blocks of 3 rows, the last one short
     rng = np.random.default_rng(q)
     rows = rng.integers(0, q, size=(7, q)).astype(np.int32)
     rows[0] = q - 1  # every component p-1: the largest products
     rows[1, ::2] = q - 1
     assert (t.batch_eval(t.batch_interp(rows)) == rows).all()
     assert (t.batch_interp(t.batch_eval(rows)) == rows).all()
+    # chain_coeff_rows in blocks of 3 rows, the last one short, against one block
+    cols = [rng.integers(1, q, 7), rng.integers(0, q, 7), rng.integers(0, q, 7)]
+    whole = ff.chain_coeff_rows(t, cols)
+    monkeypatch.setattr(ff, "ROW_BLOCK", 3 * q * n)
+    assert (ff.chain_coeff_rows(t, cols) == whole).all()
+    for r in (0, 6):  # the first block and the short one, against the scalar oracle
+        ch = Chain(ctx, tuple(ctx.el_at(int(a[r])) for a in cols))
+        assert whole[r].tolist() == [ctx.index_of(c) for c in expand_chain_by_powers(ch).coeffs]
 
 
 @pytest.mark.parametrize("p,n", FIELDS)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffperm.errors import (BadRange, CompositeP, ReducibleModulus, ZeroElement)
-from ffperm.gf import (Fe, _is_irreducible, inv0, is_prime, lucas_binom, make_field,
+from ffperm.gf import (Fe, _least_factor_degree, inv0, is_prime, lucas_binom, make_field,
                        order, parse_field_spec, format_field_spec, primitive_element)
 
 
@@ -37,8 +37,9 @@ def test_default_modulus_f9_is_x2_plus_1():
         assert make_field(p, n).modulus == modulus, (p, n)
 
 
-def _has_small_factor(f, p):
-    """Brute force: some monic g with 1 <= deg g <= deg f / 2 divides f."""
+def _least_small_factor_degree(f, p):
+    """Brute force: the least degree of a monic g with 1 <= deg g <= deg f / 2
+    dividing f, or 0 when there is none."""
     n = len(f) - 1
     for d in range(1, n // 2 + 1):
         for low in itertools.product(range(p), repeat=d):
@@ -50,8 +51,8 @@ def _has_small_factor(f, p):
                     for j, g in enumerate(low):
                         r[i - d + j] = (r[i - d + j] - c * g) % p
             if not any(r):
-                return True
-    return False
+                return d
+    return 0
 
 
 def test_is_irreducible_matches_factor_search():
@@ -61,7 +62,7 @@ def test_is_irreducible_matches_factor_search():
     for p, n in fields:
         for low in itertools.product(range(p), repeat=n):
             f = low + (1,)
-            assert _is_irreducible(f, p) == (not _has_small_factor(f, p)), (p, f)
+            assert _least_factor_degree(f, p) == _least_small_factor_degree(f, p), (p, f)
 
 
 FIELD_BUDGET_S = 10  # wall clock, so a slow modulus search fails instead of hanging
@@ -100,6 +101,14 @@ def test_primitive_element_is_least_of_full_order():
         least = next((ctx.el_at(i) for i in range(2, q) if order(ctx.el_at(i)) == q - 1),
                      ctx.one())
         assert primitive_element(ctx) == least, q
+
+
+def test_prime_field_whatever_its_degree_1_modulus():
+    # every monic x - c gives the one F_p, so the contexts are equal
+    ctx = make_field(5, 1, [3, 1])
+    assert ctx == make_field(5) and hash(ctx) == hash(make_field(5))
+    assert parse_field_spec("p=5,mod=3,1") == make_field(5)
+    assert format_field_spec(ctx) == "p=5"
 
 
 def test_composite_p_rejected():

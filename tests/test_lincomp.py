@@ -98,8 +98,7 @@ def test_fold_reconciles_top_coefficient():
     ctx = make_field(5)
     g = Poly.from_coeffs(ctx, [1, 0, 0, 0, 4])
     assert lc.blahut_check(g) == (0, 0, True)
-    lcv, w, eq = lc.blahut_check(g, fold=False)
-    assert (lcv, w, eq) == (0, 2, False)
+    assert weight(g) == 2  # the raw weight differs from the linear complexity
 
 
 def test_folded_weight_values():
@@ -119,7 +118,7 @@ def test_blahut_random_polynomials():
         rows = np.vstack([ff.coeff_row(f) for f in fs])
         tabs = t.batch_eval(rows)
         lcs, folded = lc.blahut_rows(t, rows, tabs)
-        _, raw = lc.blahut_rows(t, rows, tabs, fold=False)
+        raw = ff.weight_rows(rows)
         for f, lcv, fw, w in zip(fs, lcs, folded, raw):
             assert lcv == lc.berlekamp_massey(lc.sequence_from_poly(f) * 2)
             assert fw == lc.folded_weight(f) == lcv
