@@ -475,7 +475,9 @@ def sweep_rank1(ctx: FieldCtx) -> Rank1Sweep:
     ff.check_bytes((q - 1) * q * q * q * 4, f"the rank-1 sweep table at q = {q}")
     t = ff.tables(ctx)
     grid = ff.chain_grid(q, 1)
-    weights = ff.weight_rows(ff.chain_coeff_rows(t, grid))
+    weights = np.empty(len(grid[0]), dtype=np.intp)
+    for s, rows in ff.chain_coeff_blocks(t, grid):
+        weights[s:s + len(rows)] = ff.weight_rows(rows)
     return Rank1Sweep(ctx, weights, _rank1_classes(t, grid[1], grid[2]))
 
 
@@ -484,7 +486,8 @@ class Rank2Sweep:
     """Normalized rank-2 sweep: a0 = -1, constant term forced to 0.
 
     One row per (a1, a2 != 0).  Weights come from the chain value tables
-    via interpolation (independent of the closed form); gamma_idx holds
+    via interpolation (independent of the closed form), block by block, as
+    do the rows coeff_rows[idx] recomputes; gamma_idx holds
     (a1 + a2^-1)/a1 for case-(c) rows and 0 elsewhere.
     """
 
@@ -492,9 +495,10 @@ class Rank2Sweep:
     a1_idx: np.ndarray
     a2_idx: np.ndarray
     a3_idx: np.ndarray
-    coeff_rows: np.ndarray
+    coeff_rows: ff.ChainRows
     weights: np.ndarray
     degrees: np.ndarray
+    special: np.ndarray        # shape c1 + c2 x^(q-2): no nonzero coefficient in 1..q-3
     case_a: np.ndarray         # a1 == 0
     case_b: np.ndarray         # a1 != 0, a1 + a2^-1 == 0
     gamma_idx: np.ndarray
@@ -527,11 +531,21 @@ def sweep_rank2(ctx: FieldCtx) -> Rank2Sweep:
     m = len(a1)
     a0 = np.full(m, t.neg[t.emb[1]], dtype=np.int32)  # a0 = -1
     a3 = t.neg[ff.rank2_shift(t, a1, a2)]  # makes the constant term vanish
-    coeffs = ff.chain_coeff_rows(t, [a0, a1, a2, a3])
-    if (coeffs[:, 0] != 0).any():
-        raise AssertionError("normalization failed to zero the constant term")
-    weights = ff.weight_rows(coeffs)
-    degrees = ff.degree_rows(coeffs)
+    cols = [a0, a1, a2, a3]
+    weights = np.empty(m, dtype=np.intp)
+    degrees = np.empty(m, dtype=np.intp)
+    special = np.empty(m, dtype=bool)
+    exact = np.ones(m, dtype=bool)
+    for s, rows in ff.chain_coeff_blocks(t, cols):
+        if (rows[:, 0] != 0).any():
+            raise AssertionError("normalization failed to zero the constant term")
+        e = s + len(rows)
+        weights[s:e] = ff.weight_rows(rows)
+        degrees[s:e] = ff.degree_rows(rows)
+        special[s:e] = (rows[:, 1:q - 2] == 0).all(axis=1)
+        if q <= 5:
+            for r, row in enumerate(rows, s):
+                exact[r] = rank_upto2(_poly_of_row(ctx, row)).rank_class == 2
 
     eta = t.add[a1, t.inv0[a2]]
     case_a = a1 == 0
@@ -539,10 +553,5 @@ def sweep_rank2(ctx: FieldCtx) -> Rank2Sweep:
     gamma = np.zeros(m, dtype=np.int32)
     case_c = ~case_a & ~case_b
     gamma[case_c] = t.mul[eta[case_c], t.inv0[a1[case_c]]]
-
-    exact = np.ones(m, dtype=bool)
-    if q <= 5:
-        for r in range(m):
-            exact[r] = rank_upto2(_poly_of_row(ctx, coeffs[r])).rank_class == 2
-    return Rank2Sweep(ctx, a1, a2, a3, coeffs, weights, degrees,
-                      case_a, case_b, gamma, exact)
+    return Rank2Sweep(ctx, a1, a2, a3, ff.ChainRows(t, cols), weights, degrees,
+                      special, case_a, case_b, gamma, exact)

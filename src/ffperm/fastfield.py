@@ -9,8 +9,9 @@ float GEMM that is exact because every partial sum is an integer the
 float type holds (float32 when q*n*(p-1)^2 < 2^24, else float64).
 Chain value tables are built one block of rows at a time by 2-D table
 gathers; in blocks of more than q rows each stage but the last is
-computed once per run of equal parameter prefixes.  The rank-2 closed
-form computes its (a1, a2) factor once per distinct pair.  All batch
+computed once per run of equal parameter prefixes; chain_coeff_blocks
+interpolates them block by block, so a sweep holds no (rows x q) table.
+The rank-2 closed form computes its (a1, a2) factor once per distinct pair.  All batch
 routines here are cross-checked against the scalar gf/polyring/lincomp
 implementations in the test suite; they are accelerators, not a second
 source of truth.
@@ -24,7 +25,7 @@ from .errors import FieldTooLarge
 from .gf import FieldCtx, primitive_element
 
 TABLE_CAP = 4096  # largest q for which index tables are built
-BYTES_CAP = 1 << 28  # largest (q*n)^2 matrix or sweep value table, in bytes
+BYTES_CAP = 1 << 28  # largest (q*n)^2 matrix or (streamed) sweep table, in bytes
 ROW_BLOCK = 1 << 22  # entries (values or prime-field components) per block of rows
 
 
@@ -169,7 +170,7 @@ class FieldTables:
     def batch_interp(self, table_rows: np.ndarray) -> np.ndarray:
         """Reduced coefficients of value-table rows (indices in, indices out).
 
-        One GEMM over the given rows (chain_coeff_rows feeds it in blocks);
+        One GEMM over the given rows (chain_coeff_blocks feeds it in blocks);
         its exact integer products are reduced mod p and recombined into
         indices in int32 (int64 beside a float64 matrix, whose products can
         pass 2^31).
@@ -296,19 +297,32 @@ def chain_grid(q: int, n: int) -> list[np.ndarray]:
     return [g.ravel() for g in np.meshgrid(*ranges, indexing="ij")]
 
 
-def chain_coeff_rows(t: FieldTables, a_list: list[np.ndarray]) -> np.ndarray:
-    """Reduced coefficients of the chains with parameter columns a_list, (m, q).
-
-    Value tables are built and interpolated one block of rows at a time,
-    so only one block's table is held beside the result.
-    """
-    m = len(a_list[0])
-    out = np.empty((m, t.q), dtype=np.int32)
+def chain_coeff_blocks(t: FieldTables, a_list: list[np.ndarray]):
+    """Yield (start, rows): the reduced coefficients of the chains with parameter
+    columns a_list, one block of ROW_BLOCK // (q*n) rows at a time; the one
+    block loop of interpolation, holding one block's value table at a time."""
     block = max(1, ROW_BLOCK // (t.q * t.n))
-    for s in range(0, m, block):
-        out[s:s + block] = t.batch_interp(
-            chain_value_tables(t, [a[s:s + block] for a in a_list]))
+    for s in range(0, len(a_list[0]), block):
+        yield s, t.batch_interp(chain_value_tables(t, [a[s:s + block] for a in a_list]))
+
+
+def chain_coeff_rows(t: FieldTables, a_list: list[np.ndarray]) -> np.ndarray:
+    """Reduced coefficients of the chains with parameter columns a_list, (m, q)."""
+    out = np.empty((len(a_list[0]), t.q), dtype=np.int32)
+    for s, rows in chain_coeff_blocks(t, a_list):
+        out[s:s + len(rows)] = rows
     return out
+
+
+class ChainRows:
+    """Coefficient rows of fixed chain parameter columns, holding the columns
+    only: rows[idx] recomputes those rows by chain_coeff_rows, never the closed form."""
+
+    def __init__(self, t: FieldTables, a_list: list[np.ndarray]):
+        self.t, self.a_list = t, a_list
+
+    def __getitem__(self, idx) -> np.ndarray:
+        return chain_coeff_rows(self.t, [a[idx] for a in self.a_list])
 
 
 def rank2_shift(t: FieldTables, a1, a2) -> np.ndarray:

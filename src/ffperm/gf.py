@@ -365,18 +365,23 @@ def primitive_element(ctx: FieldCtx) -> Fe:
     """Least generator of F_q^* in enumeration order (2, 3, ... for prime fields).
 
     a generates exactly when a^((q-1)/f) != 1 for every prime f | q-1;
-    each candidate is dropped at its first power equal to 1, and the search
-    stops before one whose whole test could take it past WORK_CAP.
+    each candidate is charged only the powers it ran, up to its first equal
+    to 1; the search stops before one whose whole test could pass WORK_CAP.
     """
     if ctx._primitive is not None:
         return ctx._primitive
     one = ctx.one()
     cofactors = [(ctx.q - 1) // f for f in factorize(ctx.q - 1)]
     test = sum(_power_work(e, ctx.n) for e in cofactors)
+    work = 0
     for i in range(2, ctx.q):
-        _check_work((i - 1) * test, f"the primitive element search in F_({ctx.p}^{ctx.n})")
+        _check_work(work + test, f"the primitive element search in F_({ctx.p}^{ctx.n})")
         a = ctx.el_at(i)
-        if all(a ** e != one for e in cofactors):
+        for e in cofactors:
+            work += _power_work(e, ctx.n)
+            if a ** e == one:
+                break
+        else:
             ctx._primitive = a
             return a
     # q = 2: the only unit is 1

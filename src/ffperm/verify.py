@@ -159,12 +159,11 @@ def check_6(seed: int = DEFAULT_SEED, **kw) -> tuple[bool, str]:
 
 
 def _closed_form_mismatches(t, a0, a1, a2, a3) -> int:
-    chunk = 100_000  # rows per comparison, which bounds the temporaries
+    cols = [a0, a1, a2, a3]
     bad = 0
-    for s in range(0, len(a0), chunk):
-        cols = [a[s:s + chunk] for a in (a0, a1, a2, a3)]
-        closed = ff.rank2_coeff_rows(t, *cols)
-        bad += int((ff.chain_coeff_rows(t, cols) != closed).any(axis=1).sum())
+    for s, rows in ff.chain_coeff_blocks(t, cols):
+        closed = ff.rank2_coeff_rows(t, *(a[s:s + len(rows)] for a in cols))
+        bad += int((rows != closed).any(axis=1).sum())
     return bad
 
 
@@ -279,8 +278,7 @@ def check_11(**kw) -> tuple[bool, str]:
         deg_ok = sw.degrees >= 2
         # shape c1 + c2 x^(q-2): nonzero coefficients confined to {0, q-2}
         # (column q-1, -sum_x f(x), is zero because every chain permutes F_q)
-        special = (sw.coeff_rows[:, 1:q - 2] == 0).all(axis=1)
-        sel = deg_ok & ~special
+        sel = deg_ok & ~sw.special
         # an integer weight exceeds q/3 - 2 exactly when it exceeds its floor
         if not (sw.weights[sel] > math.floor(cz._weight_floor(q, 2))).all():
             viols.append(f"q={q}: weight bound q/3-2")

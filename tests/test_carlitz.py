@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -292,6 +293,63 @@ def test_sweep_rank2_f5_has_no_exact_rank2():
     sw = cz.sweep_rank2(make_field(5))
     assert not sw.exact_rank2.any()
     assert sw.min_weight is None
+
+
+RANK2_FIELDS = ["a1_idx", "a2_idx", "a3_idx", "weights", "degrees", "special",
+                "case_a", "case_b", "gamma_idx", "exact_rank2"]
+
+
+@pytest.mark.parametrize("p,n,rows_per_block", [(5, 1, 7), (11, 1, 7), (5, 2, 97)])
+def test_sweep_rank2_streams_in_blocks(p, n, rows_per_block, monkeypatch):
+    # several blocks, the last one short (q = 5 re-checks each rank), against one block
+    ctx = make_field(p, n)
+    t = ff.tables(ctx)
+    q = ctx.q
+    whole = cz.sweep_rank2(ctx)
+    m = len(whole.weights)
+    assert m > rows_per_block and m % rows_per_block
+    monkeypatch.setattr(ff, "ROW_BLOCK", rows_per_block * q * n)
+    sw = cz.sweep_rank2(ctx)
+    for name in RANK2_FIELDS:
+        a, b = getattr(sw, name), getattr(whole, name)
+        assert a.dtype == b.dtype and (a == b).all(), name
+    cols = [np.full(m, t.neg[t.emb[1]], dtype=np.int32), sw.a1_idx, sw.a2_idx, sw.a3_idx]
+    coeffs = ff.chain_coeff_rows(t, cols)
+    assert (sw.special == (coeffs[:, 1:q - 2] == 0).all(axis=1)).all()
+    assert (sw.weights == ff.weight_rows(coeffs)).all()
+    assert (sw.degrees == ff.degree_rows(coeffs)).all()
+    rows = np.random.default_rng(q).choice(m, size=min(m, 40), replace=False)
+    picked = sw.coeff_rows[rows]
+    assert (picked == coeffs[rows]).all()
+    assert (picked == ff.rank2_coeff_rows(t, *(c[rows] for c in cols))).all()
+
+
+@pytest.mark.parametrize("p,n,rows_per_block", [(3, 2, 7), (5, 2, 97)])
+def test_sweep_rank1_streams_in_blocks(p, n, rows_per_block, monkeypatch):
+    ctx = make_field(p, n)
+    t = ff.tables(ctx)
+    whole = cz.sweep_rank1(ctx)
+    assert len(whole.weights) % rows_per_block
+    monkeypatch.setattr(ff, "ROW_BLOCK", rows_per_block * ctx.q * n)
+    sw = cz.sweep_rank1(ctx)
+    for name in ("weights", "predicted"):
+        a, b = getattr(sw, name), getattr(whole, name)
+        assert a.dtype == b.dtype and (a == b).all(), name
+    assert (sw.weights == ff.weight_rows(ff.chain_coeff_rows(t, ff.chain_grid(ctx.q, 1)))).all()
+
+
+def test_sweep_rank2_holds_no_coefficient_table(monkeypatch):
+    monkeypatch.setattr(ff, "ROW_BLOCK", 1 << 16)
+    ctx = make_field(11, 2)
+    q = ctx.q
+    tracemalloc.start()
+    try:
+        sw = cz.sweep_rank2(ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sw.weights) == q * (q - 1)
+    assert peak < q * (q - 1) * q * 4 / 2
 
 
 def test_mobius_map_basics():

@@ -33,6 +33,15 @@ def test_field_info(capsys):
     assert obj["q"] == 9 and obj["modulus"] == [1, 0, 1]
 
 
+def test_field_info_past_the_non_generating_candidates(capsys):
+    # F_(4099^2) over x^2 + 1: the generator follows p - 2 candidates i*xbar
+    with _budget():
+        code, out = run(capsys, "field-info", "--p", "4099", "--n", "2")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["modulus"] == [1, 0, 1] and obj["primitive"] == [1, 3]
+
+
 def test_expand_frozen_example(capsys):
     code, out = run(capsys, "expand", "--field", "p=5", "--chain=-1,1,4,0")
     assert code == 0
@@ -255,6 +264,17 @@ FIELD_CAPS = [
     ["bounds", "--p", "3", "--n", "2000"],
     ["rank", "--poly", '{"field":"p=2,n=3000","coeffs":[1]}'],
 ]
+# q or p just above each cap of the queries and sweeps
+Q_CAPS = [
+    ["rank", "--poly", '{"field":"p=347","coeffs":[0,1]}'],
+    ["weight", "--poly", '{"field":"p=347","coeffs":[0,1]}'],
+    ["expand", "--p", "347", "--chain=2,3,1,5"],
+    ["rank2-coeffs", "--p", "347", "--chain=2,3,1,5"],
+    ["blahut", "--poly", '{"field":"p=521","coeffs":[0,1]}'],
+    ["bounds", "--p", "32771"],
+    ["count-full", "--p", "32771", "--gamma", "2"],
+    ["sweep-rank2", "--p", "23", "--n", "2"],
+]
 
 
 @pytest.mark.parametrize("argv", [
@@ -282,14 +302,14 @@ FIELD_CAPS = [
     ["count-window", "--p", "3", "--n", "30", "--gamma", "2", "--c", "1", "--d", "0",
      "--L", "0", "--M", "100000000000"],
     ["blahut", "--poly", '{"field":"p=5","coeffs":[1,0,0,0,4]}', "--no-fold"],
-] + FIELD_CAPS)
+] + FIELD_CAPS + Q_CAPS)
 def test_malformed_input_exits_2_without_traceback(capsys, argv):
     with _budget():
         assert main(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.count("\n") == 1 or err.startswith("usage:")  # one line, or argparse's
-    assert argv not in FIELD_CAPS or err.startswith("error: FieldTooLarge: ")
+    assert argv not in FIELD_CAPS + Q_CAPS or err.startswith("error: FieldTooLarge: ")
 
 
 # small pools of valid and then broken values, so the draws reach both the

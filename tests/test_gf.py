@@ -90,6 +90,22 @@ def test_f9_primitive_element():
     assert order(g) == 8
 
 
+def test_primitive_element_past_the_non_generating_candidates():
+    # modulus x^2 + 1: the p - 2 candidates i*xbar (index 2 .. p-1) square
+    # into F_p and cannot generate; each is charged only the power that
+    # rejects it, so the search reaches the generator at index 4102
+    old = signal.signal(signal.SIGALRM, _over_budget)
+    signal.alarm(FIELD_BUDGET_S)
+    try:
+        ctx = make_field(4099, 2)
+        g = primitive_element(ctx)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert ctx.modulus == (1, 0, 1)
+    assert ctx.index_of(g) == 4102 and order(g) == ctx.q - 1
+
+
 def test_primitive_element_is_least_of_full_order():
     # every prime power q <= 400, against the definition by order
     for q in range(2, 401):
