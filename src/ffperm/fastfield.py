@@ -9,8 +9,12 @@ float GEMM that is exact because every partial sum is an integer the
 float type holds (float32 when q*n*(p-1)^2 < 2^24, else float64).
 Chain value tables are built one block of rows at a time by 2-D table
 gathers; in blocks of more than q rows each stage but the last is
-computed once per run of equal parameter prefixes; chain_coeff_blocks
-interpolates them block by block, so a sweep holds no (rows x q) table.
+computed once per run of equal parameter prefixes, each stage after the
+first by one gather from the composed table add[a, inv0[v]];
+chain_coeff_blocks interpolates them block by block, so a sweep holds no
+(rows x q) table.  Values enter the matrix point-major, so batch_interp
+gathers all n components of a value at once.  ROW_BLOCK = 2^20 entries
+(temporaries near 4 MiB each) sits in the fastest band measured, 2^18-2^20.
 The rank-2 closed form computes its (a1, a2) factor once per distinct pair.  All batch
 routines here are cross-checked against the scalar gf/polyring/lincomp
 implementations in the test suite; they are accelerators, not a second
@@ -19,14 +23,16 @@ source of truth.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import FieldTooLarge
 from .gf import FieldCtx, primitive_element
 
 TABLE_CAP = 4096  # largest q for which index tables are built
-BYTES_CAP = 1 << 28  # largest (q*n)^2 matrix or (streamed) sweep table, in bytes
-ROW_BLOCK = 1 << 22  # entries (values or prime-field components) per block of rows
+BYTES_CAP = 1 << 28  # largest (q*n)^2 matrix, q x q table or (streamed) sweep table, in bytes
+ROW_BLOCK = 1 << 20  # entries (values or prime-field components) per block of rows
 
 
 def check_bytes(nbytes: int, what: str) -> None:
@@ -68,6 +74,7 @@ class FieldTables:
         self.log = log
 
         # operation tables, one q x q int32 temporary at a time
+        check_bytes(4 * q * q, f"a q x q table at q = {q}")
         add = np.zeros((q, q), dtype=np.int32)
         for k in range(n):  # digit k of the sum, reduced by one conditional subtract
             d = elems[:, k].astype(np.int32)
@@ -92,6 +99,12 @@ class FieldTables:
         self.emb = (np.arange(p, dtype=np.int64) * self.place[0]).astype(np.int32)
 
         self._interp_matrix = None
+
+    @functools.cached_property
+    def add_inv(self) -> np.ndarray:
+        """The flat q*q table add[a, inv0[v]] at a*q + v: one chain stage per gather."""
+        check_bytes(4 * self.q ** 2, f"the composed add/inv0 table at q = {self.q}")
+        return self.add[:, self.inv0].ravel()
 
     # -- powers with the 0**0 = 1 convention -------------------------------
     def pow_outer(self, base: np.ndarray, exps: np.ndarray) -> np.ndarray:
@@ -119,9 +132,11 @@ class FieldTables:
         """Interpolation as an F_p-linear map: a (q*n, q*n) matrix T with
         coefficient components = value components @ T.
 
-        Flattening is component-major: component k of the value at the
-        a-th enumerated point sits at position k*q + a, and component k of
-        the coefficient of x^i at k*q + i.
+        Values are flattened point-major and coefficients component-major:
+        component k of the value at the x-th enumerated point sits at row
+        x*n + k (so a (q, n) component table, gathered by value index,
+        feeds it as it is), and component k' of the coefficient of x^i at
+        column k'*q + i.
         For reduced f = sum_i c_i x^i the coefficients are
             c_0 = f(0),
             c_k = -sum_{x != 0} f(x) x^(-k)    (1 <= k <= q-2),
@@ -146,12 +161,12 @@ class FieldTables:
             WT[:, 1:q - 1] = self.neg[self.pow_outer(np.arange(q), np.arange(q - 2, 0, -1))]
             WT[:, q - 1] = self.neg[self.emb[1]]
             ef = self.elems.T.astype(dtype)  # ef[k] = component k of every element
-            # component k' of W[i, x] * e_k sits at row k*q + x, column k'*q + i
-            T = np.empty((n, q, n, q), dtype=dtype)
+            # component k' of W[x, i] * e_k sits at row x*n + k, column k'*q + i
+            T = np.empty((q, n, n, q), dtype=dtype)
             for k in range(n):
                 times_ek = self.mul[:, int(self.place[k])]
                 for k2 in range(n):
-                    T[k, :, k2] = ef[k2][times_ek][WT]
+                    T[:, k, k2] = ef[k2][times_ek][WT]
             self._interp_matrix = T.reshape(q * n, q * n)
         return self._interp_matrix
 
@@ -170,20 +185,19 @@ class FieldTables:
     def batch_interp(self, table_rows: np.ndarray) -> np.ndarray:
         """Reduced coefficients of value-table rows (indices in, indices out).
 
-        One GEMM over the given rows (chain_coeff_blocks feeds it in blocks);
-        its exact integer products are reduced mod p and recombined into
-        indices in int32 (int64 beside a float64 matrix, whose products can
-        pass 2^31).
+        One gather of each value's n components as one void item, then one
+        GEMM over the rows (chain_coeff_blocks feeds it in blocks); its exact
+        integer products are reduced mod p and recombined into indices in
+        int32 (int64 beside a float64 matrix, whose products can pass 2^31).
         """
         T = self.interp_matrix()
         m, q = table_rows.shape
         n, p = self.n, self.p
         acc = np.int32 if T.dtype == np.float32 else np.int64
-        ef = self.elems.T.astype(T.dtype)  # ef[k] = component k of every element
-        flat = np.empty((m, n, q), dtype=T.dtype)
-        for k in range(n):
-            flat[:, k] = ef[k][table_rows]
-        res = (flat.reshape(m, n * q) @ T).astype(acc).reshape(m, n, q)
+        comp = self.elems.astype(T.dtype)  # comp[a] = the n components of element a
+        comp = comp.view(np.dtype((np.void, comp.itemsize * n))).ravel()
+        flat = np.take(comp, table_rows).view(T.dtype)  # (m, q*n), point-major
+        res = (flat @ T).astype(acc).reshape(m, n, q)
         res %= p
         out = res[:, 0].astype(table_rows.dtype)
         for k in range(1, n):  # index = sum_k component_k p^(n-1-k), by Horner
@@ -260,7 +274,9 @@ def chain_value_tables(t: FieldTables, a_list: list[np.ndarray]) -> np.ndarray:
 def _shared_prefix_tables(t: FieldTables, cols: list[np.ndarray]) -> np.ndarray:
     """chain_value_tables on one block: each stage is computed on the first
     row of each run of equal prefixes, and its rows are expanded to the
-    next stage's runs (every row at the last stage)."""
+    next stage's runs (every row at the last stage).  Each stage after (a0, a1)
+    is one gather from FieldTables.add_inv, the flat q^2 table add[a, inv0[v]]
+    built on the first such block, so small blocks never build it."""
     q, add = t.q, t.add.ravel()
     new = np.ones(len(cols[0]), dtype=bool)  # row starts a run of equal prefixes
     new[1:] = cols[0][1:] != cols[0][:-1]
@@ -277,11 +293,10 @@ def _shared_prefix_tables(t: FieldTables, cols: list[np.ndarray]) -> np.ndarray:
         else:
             new[1:] |= ak[1:] != ak[:-1]
         heads = np.flatnonzero(new)
-        v = t.inv0[v]
         if len(v) < len(heads):
             v = np.take(v, run[heads], axis=0)
         v += ak[heads, None] * q
-        v = add[v]
+        v = t.add_inv[v]
     return v
 
 

@@ -352,6 +352,19 @@ def test_sweep_rank2_holds_no_coefficient_table(monkeypatch):
     assert peak < q * (q - 1) * q * 4 / 2
 
 
+def test_sweep_rank2_peak_at_default_block():
+    # one block's temporaries set the peak: about 23 MiB at ROW_BLOCK = 2^20, 82 MiB at 2^22
+    ctx = make_field(251)
+    tracemalloc.start()
+    try:
+        sw = cz.sweep_rank2(ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sw.weights) == 251 * 250
+    assert peak < 40 * 2 ** 20
+
+
 def test_mobius_map_basics():
     ctx = make_field(5)
     m = cz.MobiusMap(ctx, (ctx.from_int(1), ctx.from_int(1)),

@@ -63,6 +63,32 @@ def test_batch_eval_matches_scalar(p, n):
         assert coeffs[r].tolist() == [ctx.index_of(c) for c in f.coeffs]
 
 
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2)])
+def test_interp_matrix_layout(p, n):
+    # entry [x*n + k, k'*q + i] is component k' of W[x, i] * e_k, where
+    # c_i = sum_x W[x, i] f(x): W[x, 0] = [x = 0], W[x, i] = -x^(-i) (0 at x = 0), W[x, q-1] = -1
+    ctx = make_field(p, n)
+    t = ff.tables(ctx)
+    q, zero, one = ctx.q, ctx.zero(), ctx.one()
+    T = t.interp_matrix()
+    assert T.shape == (q * n, q * n)
+    for x in range(q):
+        xe = ctx.el_at(x)
+        for i in range(q):
+            if i == 0:
+                w = one if x == 0 else zero
+            elif i == q - 1:
+                w = -one
+            else:
+                w = zero if x == 0 else -(inv0(xe) ** i)
+            for k in range(n):
+                e_k = ctx.el_at(p ** (n - 1 - k))
+                assert e_k.coeffs[k] == 1
+                comps = (w * e_k).coeffs
+                for k2 in range(n):
+                    assert T[x * n + k, k2 * q + i] == comps[k2]
+
+
 @pytest.mark.parametrize("p,n,dtype", [(251, 1, np.float32), (257, 1, np.float64),
                                        (3, 5, np.float32)])
 def test_batch_interp_exact_at_float32_edge(p, n, dtype, monkeypatch):
@@ -208,6 +234,18 @@ def test_weight_and_degree_rows():
 def test_table_cap_enforced():
     with pytest.raises(FieldTooLarge):
         ff.FieldTables(make_field(4099))
+
+
+def test_table_byte_cap_enforced(monkeypatch):
+    ctx = make_field(11)
+    t = ff.FieldTables(ctx)
+    monkeypatch.setattr(ff, "BYTES_CAP", 4 * 11 ** 2 - 1)  # one int32 q x q table is over
+    with pytest.raises(FieldTooLarge):
+        ff.FieldTables(ctx)  # the add and mul tables
+    with pytest.raises(FieldTooLarge):
+        t.add_inv  # the composed add/inv0 table, built on first use
+    monkeypatch.setattr(ff, "BYTES_CAP", 4 * 11 ** 2)
+    assert (t.add_inv.reshape(11, 11) == t.add[:, t.inv0]).all()
 
 
 def test_matrix_byte_cap_enforced():
