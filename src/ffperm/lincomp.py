@@ -5,6 +5,13 @@ s_n = f(alpha^n) has period q - 1 and its linear complexity equals the
 number of nonzero coefficients of f once the coefficient of x^(q-1) is
 folded into the constant term (alpha^n never takes the value 0, so the
 sequence cannot tell x^(q-1) from 1).
+
+berlekamp_massey_rows takes one of two paths, chosen from an (R, N)
+input's R * N: at or below BM_WALK_MAX = 640 a row-by-row walk over list
+copies of the index tables, above it a numpy loop over all rows in
+lockstep (measured crossover: R * N = 684-720 for one row, 300-1,800
+for small-q batches).  The scalar berlekamp_massey on Fe values is the
+test oracle for both.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ __all__ = ["berlekamp_massey", "berlekamp_massey_rows", "blahut_check", "blahut_
            "folded_weight", "sequence_from_poly", "BLAHUT_CAP"]
 
 BLAHUT_CAP = 512
+# largest R * N that berlekamp_massey_rows walks row by row (measured crossover)
+BM_WALK_MAX = 640
 
 
 def sequence_from_poly(f: Poly) -> tuple[Fe, ...]:
@@ -74,18 +83,64 @@ def berlekamp_massey(s) -> int:
 def berlekamp_massey_rows(t: ff.FieldTables, S) -> np.ndarray:
     """Linear complexity of every row of S, an (R, N) array of element indices.
 
-    Berlekamp-Massey (Massey 1969) on all rows in lockstep: each row keeps
-    its own L, b and connection polynomial C, and x^m B in place of B and
-    its step count m (index rows of width N + 2), and every update applies
-    under the mask of the rows it concerns.  At step n both C and x^m B
-    have degree <= n + 1.  Since deg C <= L, the discrepancy of step n needs
-    only C_0..C_K, K = min(n, max L); it is summed over prime-field
-    components, (sum_i elems[mul[C_i, s_(n-i)]]) mod p.
+    Berlekamp-Massey (Massey 1969) by one of two paths, chosen from R * N.
+    At or below BM_WALK_MAX the rows are walked one at a time
+    (_bm_rows_walk, about R * N * L list lookups, L the linear complexity);
+    above it they step in lockstep (_bm_rows_lockstep, N numpy steps of a
+    fixed overhead).  With L about N / 2 the costs cross at a fixed R * N,
+    measured at 684-720 for one row (primes, 2^k and 3^k up to 512) and
+    at 300-1,800 for small-q batches: one blahut row walks for q <= 321,
+    criterion 10's batches step in lockstep.  Both paths return the same
+    int64 array of shape (R,); the scalar berlekamp_massey is their oracle.
     """
     S = np.asarray(S, dtype=np.int32)
     R, N = S.shape
     if N == 0:
         raise EmptySequence("berlekamp_massey needs at least one term")
+    if R * N <= BM_WALK_MAX:
+        return _bm_rows_walk(t, S)
+    return _bm_rows_lockstep(t, S)
+
+
+def _bm_rows_walk(t: ff.FieldTables, S: np.ndarray) -> np.ndarray:
+    """berlekamp_massey on each row of S in turn, over list copies of
+    the index tables made for this call.  deg C <= L, so the discrepancy
+    of step n sums C_1..C_L only; C -= coef x^m B is added as
+    (-coef) * B_i, one row of mul per update."""
+    add, mul, neg, inv0 = (a.tolist() for a in (t.add, t.mul, t.neg, t.inv0))
+    one = int(t.emb[1])
+    out = np.zeros(len(S), dtype=np.int64)
+    for r, s in enumerate(S.tolist()):
+        C, B = [one], [one]
+        L, m, b = 0, 1, one
+        for n, d in enumerate(s):
+            for c, v in zip(C[1:L + 1], reversed(s[n - L:n])):
+                d = add[d][mul[c][v]]
+            if d == 0:
+                m += 1
+                continue
+            mrow = mul[neg[mul[d][inv0[b]]]]
+            T = C[:]
+            C += [0] * (len(B) + m - len(C))
+            for i, bv in enumerate(B, m):
+                C[i] = add[C[i]][mrow[bv]]
+            if 2 * L <= n:
+                L, B, b, m = n + 1 - L, T, d, 1
+            else:
+                m += 1
+        out[r] = L
+    return out
+
+
+def _bm_rows_lockstep(t: ff.FieldTables, S: np.ndarray) -> np.ndarray:
+    """All rows of S in lockstep: each row keeps its own L, b and
+    connection polynomial C, and x^m B in place of B and its step count m
+    (index rows of width N + 2), and every update applies under the mask
+    of the rows it concerns.  At step n both C and x^m B have degree
+    <= n + 1.  Since deg C <= L, the discrepancy of step n needs only
+    C_0..C_K, K = min(n, max L); it is summed over prime-field
+    components, (sum_i elems[mul[C_i, s_(n-i)]]) mod p."""
+    R, N = S.shape
     one = t.emb[1]
     C = np.zeros((R, N + 2), dtype=np.int32)
     C[:, 0] = one

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import MixedFields
+from .errors import BadRange, MixedFields
 from .gf import Fe, FieldCtx, format_field_spec, lucas_binom, parse_field_spec
 
 __all__ = [
@@ -190,10 +190,19 @@ def poly_to_json(f: Poly) -> str:
     })
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)  # JSON true/false are no coefficients
+
+
 def poly_from_json(text: str, ctx: FieldCtx | None = None) -> Poly:
     obj = json.loads(text)
     fctx = parse_field_spec(obj["field"])
     if ctx is not None and fctx != ctx:
         raise MixedFields("polynomial JSON names a different field")
-    coeffs = [c if isinstance(c, int) else list(c) for c in obj["coeffs"]]
+    coeffs = obj["coeffs"]
+    if not isinstance(coeffs, list):
+        raise BadRange(f"coeffs must be a list, got {json.dumps(coeffs)}")
+    for k, c in enumerate(coeffs):
+        if not (_is_int(c) or isinstance(c, list) and all(map(_is_int, c))):
+            raise BadRange(f"coeffs[{k}] = {json.dumps(c)} is not an int or a list of ints")
     return Poly.from_coeffs(fctx, coeffs)

@@ -302,6 +302,11 @@ Q_CAPS = [
     ["count-window", "--p", "3", "--n", "30", "--gamma", "2", "--c", "1", "--d", "0",
      "--L", "0", "--M", "100000000000"],
     ["blahut", "--poly", '{"field":"p=5","coeffs":[1,0,0,0,4]}', "--no-fold"],
+    ["blahut", "--poly", '{"field":"p=5","coeffs":[true]}'],
+    ["blahut", "--poly", '{"field":"p=5","coeffs":"x"}'],
+    ["blahut", "--poly", '{"field":"p=5","coeffs":[1.5]}'],
+    ["rank", "--poly", '{"field":"p=3,n=2","coeffs":[[0,false]]}'],
+    ["weight", "--poly", '{"field":"p=5","coeffs":[1,null]}'],
 ] + FIELD_CAPS + Q_CAPS)
 def test_malformed_input_exits_2_without_traceback(capsys, argv):
     with _budget():

@@ -72,18 +72,55 @@ def _bm_rows_cases(t, rng):
     return rows
 
 
+def _lfsr_row(t, rng, N):
+    """N terms of a random recurrence of order <= 6: long, but cheap for the scalar oracle."""
+    taps = [rng.randrange(t.q) for _ in range(rng.randrange(1, 7))]
+    row = [rng.randrange(t.q) for _ in taps]
+    while len(row) < N:
+        acc = 0
+        for c, v in zip(taps, reversed(row[-len(taps):])):
+            acc = int(t.add[acc, t.mul[c, v]])
+        row.append(acc)
+    return row[:N]
+
+
+BM_PATHS = [lc.berlekamp_massey_rows, lc._bm_rows_walk, lc._bm_rows_lockstep]
+
+
 @pytest.mark.parametrize("p,n", FIELDS)
 def test_bm_rows_against_scalar(p, n):
+    """Both paths and their selector, at R * N on both sides of BM_WALK_MAX."""
     ctx = make_field(p, n)
     t = ff.tables(ctx)
     rng = random.Random(p * 100 + n)
-    rows = _bm_rows_cases(t, rng)
-    for S in (np.array(rows), np.array(rows)[:, :1]):
-        got = lc.berlekamp_massey_rows(t, S)
+    rows = np.array(_bm_rows_cases(t, rng), dtype=np.int32)
+    K = lc.BM_WALK_MAX
+    at = np.array([_lfsr_row(t, rng, K)], dtype=np.int32)
+    above = np.array([_lfsr_row(t, rng, K + 1)], dtype=np.int32)
+    for S in (rows, rows[:, :1], at, above):
         want = [lc.berlekamp_massey([ctx.el_at(int(i)) for i in row]) for row in S]
-        assert got.tolist() == want
+        for bm in BM_PATHS:
+            got = bm(t, S)
+            assert got.dtype == np.int64 and got.tolist() == want
+    for bm in BM_PATHS:
+        got = bm(t, np.zeros((0, 5), dtype=np.int32))
+        assert got.dtype == np.int64 and got.shape == (0,)
     with pytest.raises(EmptySequence):
         lc.berlekamp_massey_rows(t, np.zeros((3, 0), dtype=np.int32))
+
+
+def test_bm_rows_path_choice(monkeypatch):
+    """R * N <= BM_WALK_MAX walks the rows; anything larger steps in lockstep."""
+    t = ff.tables(make_field(5))
+    chosen = []
+    for name in ("_bm_rows_walk", "_bm_rows_lockstep"):
+        monkeypatch.setattr(lc, name, lambda t, S, name=name: chosen.append((name, S.shape)))
+    K = lc.BM_WALK_MAX
+    for shape in [(1, K), (1, K + 1), (K, 1), (K + 1, 1), (0, 3)]:
+        lc.berlekamp_massey_rows(t, np.ones(shape, dtype=np.int32))
+    assert chosen == [("_bm_rows_walk", (1, K)), ("_bm_rows_lockstep", (1, K + 1)),
+                      ("_bm_rows_walk", (K, 1)), ("_bm_rows_lockstep", (K + 1, 1)),
+                      ("_bm_rows_walk", (0, 3))]
 
 
 def test_blahut_frozen_examples():
@@ -109,12 +146,14 @@ def test_folded_weight_values():
 
 
 def test_blahut_random_polynomials():
+    # one blahut row of 7^2 is walked, one of 331 steps in lockstep
+    assert 2 * (49 - 1) <= lc.BM_WALK_MAX < 2 * (331 - 1)
     random.seed(6)
-    for p, n in [(5, 1), (3, 2), (11, 1)]:
+    for p, n, count in [(5, 1, 40), (3, 2, 40), (11, 1, 40), (7, 2, 40), (331, 1, 3)]:
         ctx = make_field(p, n)
         t = ff.tables(ctx)
         fs = [Poly(ctx, tuple(ctx.el_at(random.randrange(ctx.q)) for _ in range(ctx.q)))
-              for _ in range(40)]
+              for _ in range(count)]
         rows = np.vstack([ff.coeff_row(f) for f in fs])
         tabs = t.batch_eval(rows)
         lcs, folded = lc.blahut_rows(t, rows, tabs)

@@ -1,8 +1,9 @@
 import random
+import re
 
 import pytest
 
-from ffperm.errors import MixedFields
+from ffperm.errors import BadRange, MixedFields
 from ffperm.gf import make_field
 from ffperm.polyring import (Poly, ValueTable, degree, eval_table, evaluate,
                              interpolate, is_permutation, poly_from_json,
@@ -76,6 +77,15 @@ def test_json_trims_trailing_zeros():
     f = Poly.from_coeffs(ctx, [0, 1])
     text = poly_to_json(f)
     assert '"coeffs": [0, 1]' in text
+
+
+@pytest.mark.parametrize("coeffs,named", [
+    ('[true]', "coeffs[0] = true"), ('[1, 1.5]', "coeffs[1] = 1.5"), ('"x"', '"x"'),
+    ('[[0, false]]', "coeffs[0] = [0, false]"), ('[null]', "coeffs[0] = null"),
+])
+def test_json_rejects_non_integer_coefficients(coeffs, named):
+    with pytest.raises(BadRange, match=re.escape(named)):
+        poly_from_json(f'{{"field": "p=3,n=2", "coeffs": {coeffs}}}')
 
 
 def test_evaluate_horner_matches_naive():
