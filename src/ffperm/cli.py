@@ -86,7 +86,7 @@ def _emit(obj) -> None:
 def _emit_sweep_row(args, row: dict) -> None:
     if args.format == "csv":
         print(",".join(row))
-        print(",".join(str(v) for v in row.values()))
+        print(",".join("" if v is None else str(v) for v in row.values()))
     else:
         _emit(row)
 

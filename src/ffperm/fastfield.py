@@ -13,8 +13,14 @@ computed once per run of equal parameter prefixes, each stage after the
 first by one gather from the composed table add[a, inv0[v]];
 chain_coeff_blocks interpolates them block by block, so a sweep holds no
 (rows x q) table.  Values enter the matrix point-major, so batch_interp
-gathers all n components of a value at once.  ROW_BLOCK = 2^20 entries
-(temporaries near 4 MiB each) sits in the fastest band measured, 2^18-2^20.
+gathers all n components of a value at once.  The block loop allocates one
+workspace per call and batch_interp writes every step into it (gather,
+GEMM, cast, the mod-p reduction as r - (r // p) * p, Horner), so blocks
+reuse the same pages and each yielded block is a view that the next one
+overwrites.  ROW_BLOCK = 2^19 entries (2 MiB buffers at float32) is the
+smallest power of two that gives every field a rank-2 sweep admits blocks
+of more than q rows, which the shared prefixes need (at 2^18 the 7^3 and
+3^5 sweeps ran 25% slower), and was as fast as 2^20 in interleaved scans.
 The rank-2 closed form computes its (a1, a2) factor once per distinct pair.  All batch
 routines here are cross-checked against the scalar gf/polyring/lincomp
 implementations in the test suite; they are accelerators, not a second
@@ -32,7 +38,7 @@ from .gf import FieldCtx, primitive_element
 
 TABLE_CAP = 4096  # largest q for which index tables are built
 BYTES_CAP = 1 << 28  # largest (q*n)^2 matrix, q x q table or (streamed) sweep table, in bytes
-ROW_BLOCK = 1 << 20  # entries (values or prime-field components) per block of rows
+ROW_BLOCK = 1 << 19  # entries (values or prime-field components) per block of rows
 
 
 def check_bytes(nbytes: int, what: str) -> None:
@@ -182,24 +188,45 @@ class FieldTables:
             v = self.add[self.mul[v, pts], coeff_rows[:, i, None]]
         return v
 
-    def batch_interp(self, table_rows: np.ndarray) -> np.ndarray:
+    def _interp_work(self, m: int, dtype=np.int32) -> tuple[np.ndarray, ...]:
+        """batch_interp's buffers for up to m rows: the gathered components and
+        the GEMM output, (m, q*n) of the matrix dtype, and the (m, q) indices."""
+        T = self.interp_matrix()
+        qn = self.q * self.n
+        return (np.empty((m, qn), T.dtype), np.empty((m, qn), T.dtype),
+                np.empty((m, self.q), dtype))
+
+    def batch_interp(self, table_rows: np.ndarray, _work=None) -> np.ndarray:
         """Reduced coefficients of value-table rows (indices in, indices out).
 
         One gather of each value's n components as one void item, then one
         GEMM over the rows (chain_coeff_blocks feeds it in blocks); its exact
         integer products are reduced mod p and recombined into indices in
         int32 (int64 beside a float64 matrix, whose products can pass 2^31).
+        Every step writes into the buffers of _interp_work: fresh ones per
+        call, or the block loop's _work, whose result is overwritten by the
+        next block.  The integer residues reuse the gathered buffer and the
+        quotients by p the GEMM's, each dead by then; r - (r // p) * p is
+        several times faster than r % p.
         """
         T = self.interp_matrix()
         m, q = table_rows.shape
         n, p = self.n, self.p
-        acc = np.int32 if T.dtype == np.float32 else np.int64
+        if table_rows.size and (table_rows.min() < 0 or table_rows.max() >= q):
+            raise IndexError(f"value index outside [0, {q})")
+        flat, prod, out = (w[:m] for w in _work or self._interp_work(m, table_rows.dtype))
         comp = self.elems.astype(T.dtype)  # comp[a] = the n components of element a
-        comp = comp.view(np.dtype((np.void, comp.itemsize * n))).ravel()
-        flat = np.take(comp, table_rows).view(T.dtype)  # (m, q*n), point-major
-        res = (flat @ T).astype(acc).reshape(m, n, q)
-        res %= p
-        out = res[:, 0].astype(table_rows.dtype)
+        void = np.dtype((np.void, comp.itemsize * n))
+        np.take(comp.view(void).ravel(), table_rows, out=flat.view(void), mode="clip")
+        np.matmul(flat, T, out=prod)  # (m, q*n), point-major in, component-major out
+        acc = np.int32 if T.dtype == np.float32 else np.int64
+        res, quot = flat.view(acc), prod.view(acc)
+        np.copyto(res, prod, casting="unsafe")
+        np.floor_divide(res, p, out=quot)
+        quot *= p
+        res -= quot
+        res = res.reshape(m, n, q)
+        np.copyto(out, res[:, 0], casting="unsafe")
         for k in range(1, n):  # index = sum_k component_k p^(n-1-k), by Horner
             out *= p
             out += res[:, k]
@@ -315,10 +342,16 @@ def chain_grid(q: int, n: int) -> list[np.ndarray]:
 def chain_coeff_blocks(t: FieldTables, a_list: list[np.ndarray]):
     """Yield (start, rows): the reduced coefficients of the chains with parameter
     columns a_list, one block of ROW_BLOCK // (q*n) rows at a time; the one
-    block loop of interpolation, holding one block's value table at a time."""
+    block loop of interpolation, holding one block's value table at a time.
+
+    Every block is interpolated into one workspace allocated per call, so
+    rows is a view that the next block overwrites: reduce or copy it first.
+    """
+    m = len(a_list[0])
     block = max(1, ROW_BLOCK // (t.q * t.n))
-    for s in range(0, len(a_list[0]), block):
-        yield s, t.batch_interp(chain_value_tables(t, [a[s:s + block] for a in a_list]))
+    work = t._interp_work(min(block, m))
+    for s in range(0, m, block):
+        yield s, t.batch_interp(chain_value_tables(t, [a[s:s + block] for a in a_list]), work)
 
 
 def chain_coeff_rows(t: FieldTables, a_list: list[np.ndarray]) -> np.ndarray:

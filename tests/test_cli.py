@@ -165,6 +165,18 @@ def test_sweeps(capsys):
     assert obj["min_weight"] == 6 and obj["bound_cor35"] == 6
 
 
+def test_sweep_csv_leaves_missing_values_empty(capsys):
+    # no exact-rank-2 chain at q = 5: JSON says null, CSV an empty cell like rank-1's bounds
+    code, out = run(capsys, "sweep-rank2", "--p", "5")
+    assert code == 0 and json.loads(out)["min_weight"] is None
+    code, out = run(capsys, "sweep-rank2", "--p", "5", "--format", "csv")
+    assert code == 0
+    assert out.split("\n")[:2] == ["q,p,case,min_weight,bound_thm33,bound_cor35,violations",
+                                    "5,5,rank2,,2.0,1,0"]
+    code, out = run(capsys, "sweep-rank1", "--p", "5", "--format", "csv")
+    assert code == 0 and out.split("\n")[1] == "5,5,rank1,1,,,0"
+
+
 def test_blahut(capsys):
     code, out = run(capsys, "blahut", "--poly",
                     '{"field": "p=5", "coeffs": [0, 1, 1, 2]}')

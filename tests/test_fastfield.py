@@ -109,9 +109,45 @@ def test_batch_interp_exact_at_float32_edge(p, n, dtype, monkeypatch):
     whole = ff.chain_coeff_rows(t, cols)
     monkeypatch.setattr(ff, "ROW_BLOCK", 3 * q * n)
     assert (ff.chain_coeff_rows(t, cols) == whole).all()
+    # each block is a view of one workspace, overwritten by the next: copied out, they agree
+    blocks = [(s, rows.copy()) for s, rows in ff.chain_coeff_blocks(t, cols)]
+    assert [s for s, _ in blocks] == [0, 3, 6]
+    assert (np.vstack([rows for _, rows in blocks]) == whole).all()
     for r in (0, 6):  # the first block and the short one, against the scalar oracle
         ch = Chain(ctx, tuple(ctx.el_at(int(a[r])) for a in cols))
         assert whole[r].tolist() == [ctx.index_of(c) for c in expand_chain_by_powers(ch).coeffs]
+
+
+def test_default_block_shares_prefixes_on_every_sweep_field():
+    # chain_value_tables computes a stage once per prefix run only in blocks of
+    # more than q rows; every odd field the rank-2 sweep admits gets such blocks
+    primes = [p for p in range(3, 410, 2) if all(p % d for d in range(3, int(p ** 0.5) + 1, 2))]
+    for p in primes:
+        q, n = p, 1
+        while q * (q - 1) * q * 4 <= ff.BYTES_CAP:
+            assert ff.ROW_BLOCK // (q * n) > q, (p, n)
+            q, n = q * p, n + 1
+
+
+@pytest.mark.parametrize("p,n", [(7, 1), (3, 2), (257, 1)])
+def test_batch_interp_checks_value_indices(p, n):
+    t = ff.tables(make_field(p, n))
+    q = t.q
+    rows = np.random.default_rng(q).integers(0, q, size=(3, q)).astype(np.int32)
+    for bad in (q, -1):
+        wrong = rows.copy()
+        wrong[2, q // 2] = bad
+        with pytest.raises(IndexError):
+            t.batch_interp(wrong)
+    assert t.batch_interp(rows[:0]).shape == (0, q)
+
+
+def test_batch_interp_returns_fresh_arrays():
+    t = ff.tables(make_field(5, 2))
+    rows = np.random.default_rng(1).integers(0, t.q, size=(4, t.q)).astype(np.int32)
+    a, b = t.batch_interp(rows), t.batch_interp(rows[::-1].copy())
+    assert not np.shares_memory(a, b)
+    assert (a == b[::-1]).all() and (t.batch_eval(a) == rows).all()
 
 
 @pytest.mark.parametrize("p,n", FIELDS)
