@@ -62,6 +62,8 @@ class Chain:
     def __post_init__(self):
         if len(self.a) < 2:
             raise BadChain("a chain needs at least (a0, a1)")
+        if self.ctx.q == 2 and len(self.a) > 2:  # x^(q-2) = x^0 is not inversion on F_2
+            raise BadChain("over F_2 only length-0 chains a0 x + a1 are defined")
         a = tuple(self.ctx.el(v) for v in self.a)
         object.__setattr__(self, "a", a)
         if not a[0]:
@@ -208,6 +210,8 @@ def rank2_coeffs(a0: Fe, a1: Fe, a2: Fe, a3: Fe) -> Poly:
     if not a2:
         raise BadParam("a2 must be nonzero")
     ctx = a0.ctx
+    if ctx.q == 2:
+        raise BadParam("the closed form needs q >= 3: over F_2, x^(q-2) = x^0 is not inversion")
     cols = ([ctx.index_of(a)] for a in (a0, a1, a2, a3))
     return _poly_of_row(ctx, ff.rank2_coeff_rows(ff.tables(ctx), *cols)[0])
 

@@ -7,20 +7,21 @@ discrete logs.  Evaluation is Horner over every point at once;
 interpolation is one explicit (q*n)^2 matrix over F_p, applied as one
 float GEMM that is exact because every partial sum is an integer the
 float type holds (float32 when q*n*(p-1)^2 < 2^24, else float64).
-Chain value tables are built one block of rows at a time by 2-D table
-gathers; in blocks of more than q rows each stage but the last is
-computed once per run of equal parameter prefixes, each stage after the
-first by one gather from the composed table add[a, inv0[v]];
-chain_coeff_blocks interpolates them block by block, so a sweep holds no
-(rows x q) table.  Values enter the matrix point-major, so batch_interp
-gathers all n components of a value at once.  The block loop allocates one
-workspace per call and batch_interp writes every step into it (gather,
-GEMM, cast, the mod-p reduction as r - (r // p) * p, Horner), so blocks
-reuse the same pages and each yielded block is a view that the next one
-overwrites.  ROW_BLOCK = 2^19 entries (2 MiB buffers at float32) is the
-smallest power of two that gives every field a rank-2 sweep admits blocks
-of more than q rows, which the shared prefixes need (at 2^18 the 7^3 and
-3^5 sweeps ran 25% slower), and was as fast as 2^20 in interleaved scans.
+Chain value tables are built one block of rows at a time by one stage
+loop of 2-D table gathers: each stage but the last is computed once per
+run of equal parameter prefixes, each stage after the first by one gather
+from the composed table add[a, inv0[v]]; chain_coeff_blocks interpolates
+them block by block, so a sweep holds no (rows x q) table.  Values enter
+the matrix point-major, so batch_interp gathers all n components of a
+value at once.  The block loop allocates one workspace per call and
+batch_interp writes every step into it (gather, GEMM, cast, the mod-p
+reduction as r - (r // p) * p, Horner), so blocks reuse the same pages
+and each yielded block is a view that the next one overwrites.
+ROW_BLOCK = 2^19 entries (2 MiB buffers at float32) is the smallest power
+of two that gives every field a rank-2 sweep admits blocks of more than q
+rows (at 2^18 the 7^3 and 3^5 sweeps ran 25% slower, when such blocks were
+the only ones that shared prefixes), and was as fast as 2^20 in
+interleaved scans.
 The rank-2 closed form computes its (a1, a2) factor once per distinct pair.  All batch
 routines here are cross-checked against the scalar gf/polyring/lincomp
 implementations in the test suite; they are accelerators, not a second
@@ -30,6 +31,7 @@ source of truth.
 from __future__ import annotations
 
 import functools
+import weakref
 
 import numpy as np
 
@@ -54,7 +56,7 @@ class FieldTables:
     def __init__(self, ctx: FieldCtx):
         if ctx.q > TABLE_CAP:
             raise FieldTooLarge(f"q = {ctx.q} exceeds table cap {TABLE_CAP}")
-        self.ctx = ctx
+        self._ctx, self._modulus = weakref.ref(ctx), ctx.modulus
         q, p, n = ctx.q, ctx.p, ctx.n
         self.q, self.p, self.n = q, p, n
         self.place = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -106,9 +108,21 @@ class FieldTables:
 
         self._interp_matrix = None
 
+    @property
+    def ctx(self) -> FieldCtx:
+        """The context the tables were built for, or an equal one sharing them once
+        it is gone; held weakly, since a context holds its tables and the cycle would
+        keep both alive until the cyclic garbage collector ran."""
+        ctx = self._ctx()
+        if ctx is None:
+            ctx = FieldCtx(self.p, self.n, self._modulus)
+            ctx._tables, self._ctx = self, weakref.ref(ctx)
+        return ctx
+
     @functools.cached_property
     def add_inv(self) -> np.ndarray:
-        """The flat q*q table add[a, inv0[v]] at a*q + v: one chain stage per gather."""
+        """The flat q*q table add[a, inv0[v]] at a*q + v: one chain stage per gather,
+        built on the first chain_value_tables call with a stage after (a0, a1)."""
         check_bytes(4 * self.q ** 2, f"the composed add/inv0 table at q = {self.q}")
         return self.add[:, self.inv0].ravel()
 
@@ -263,68 +277,45 @@ def chain_value_tables(t: FieldTables, a_list: list[np.ndarray]) -> np.ndarray:
     """Value tables of the chains with parameter columns a_list.
 
     a_list holds n+2 index arrays of common length m (a0, a1, ..., a_{n+1});
-    the result is (m, q) with row r the table of chain r.  Each block of
-    rows is built whole: row a0 of the mul table is a0*x at every x, and
-    each addition is one gather from the flat add table at a*q + v
-    (add[a, v], which equals add[v, a]).
+    the result is (m, q) with row r the table of chain r, built one block
+    of rows at a time by one stage loop.  Stage 1 is row a0 of the mul
+    table (a0*x at every x) plus a1, one gather from the flat add table at
+    a*q + v (add[a, v], which equals add[v, a]); each later stage is one
+    gather from FieldTables.add_inv.
 
     Stage k (the table after a_k is added) depends only on the prefix
-    (a0, ..., a_k).  In a block of more rows than q, every stage but the
-    last is computed once per run of equal neighbouring prefixes, and only
-    the last stage is computed on every row; in chain_grid's lexicographic
-    order each earlier stage then shrinks at least q-1-fold.  Smaller
-    blocks (the rank search's candidates, one-row expansions) skip the run
-    detection, which would cost more than it saves.
+    (a0, ..., a_k), so every stage but the last is computed on the first
+    row of each run of equal neighbouring prefixes and expanded to the
+    next stage's runs; the last stage, and every stage once all prefixes
+    differ, takes every row as a head.  In chain_grid's lexicographic order
+    each earlier stage shrinks at least q-1-fold; in any other order (the
+    rank search's candidates) they mostly differ from stage 1 on.
     """
     a_list = [np.asarray(a, dtype=np.int32) for a in a_list]
     m, q = len(a_list[0]), t.q
-    add = t.add.ravel()
     out = np.empty((m, q), dtype=np.int32)
     block = max(1, ROW_BLOCK // q)
     for s in range(0, m, block):
-        cols = [a[s:s + block] for a in a_list]
-        if len(cols[0]) > q and len(cols) > 2:  # (a0, a1) alone is one stage
-            out[s:s + block] = _shared_prefix_tables(t, cols)
-            continue
-        a0, a1, *rest = cols
-        v = t.mul[a0]
-        v += a1[:, None] * q
-        v = add[v]
-        for ak in rest:
-            v = t.inv0[v]
-            v += ak[:, None] * q
-            v = add[v]
+        a0, *rest = [a[s:s + block] for a in a_list]
+        new = np.ones(len(a0), dtype=bool)  # row starts a run of equal prefixes
+        new[1:] = a0[1:] != a0[:-1]
+        v, run = t.mul, None
+        for k, ak in enumerate(rest, 1):
+            if k < len(rest) and (k == 1 or run is not None):
+                new[1:] |= ak[1:] != ak[:-1]
+                heads = np.flatnonzero(new)
+            else:  # the last stage, or all earlier prefixes distinct: every row is a head
+                heads = slice(None)
+            if k == 1:
+                v = v[a0[heads]]
+            elif run is not None:
+                v = np.take(v, run[heads], axis=0)
+            v += ak[heads, None] * q
+            v = (t.add.ravel() if k == 1 else t.add_inv)[v]
+            # this stage's run per row, when some rows share it
+            run = np.cumsum(new) - 1 if len(v) < len(new) else None
         out[s:s + block] = v
     return out
-
-
-def _shared_prefix_tables(t: FieldTables, cols: list[np.ndarray]) -> np.ndarray:
-    """chain_value_tables on one block: each stage is computed on the first
-    row of each run of equal prefixes, and its rows are expanded to the
-    next stage's runs (every row at the last stage).  Each stage after (a0, a1)
-    is one gather from FieldTables.add_inv, the flat q^2 table add[a, inv0[v]]
-    built on the first such block, so small blocks never build it."""
-    q, add = t.q, t.add.ravel()
-    new = np.ones(len(cols[0]), dtype=bool)  # row starts a run of equal prefixes
-    new[1:] = cols[0][1:] != cols[0][:-1]
-    new[1:] |= cols[1][1:] != cols[1][:-1]
-    heads = np.flatnonzero(new)
-    v = t.mul[cols[0][heads]]
-    v += cols[1][heads, None] * q
-    v = add[v]
-    for k in range(2, len(cols)):
-        ak = cols[k]
-        run = np.cumsum(new) - 1  # run of the previous prefix, per row
-        if k == len(cols) - 1:
-            new[:] = True
-        else:
-            new[1:] |= ak[1:] != ak[:-1]
-        heads = np.flatnonzero(new)
-        if len(v) < len(heads):
-            v = np.take(v, run[heads], axis=0)
-        v += ak[heads, None] * q
-        v = t.add_inv[v]
-    return v
 
 
 def chain_grid(q: int, n: int) -> list[np.ndarray]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 
 from .errors import BadRange, CompositeP, FieldTooLarge, MixedFields, ReducibleModulus, ZeroElement
 
@@ -179,7 +178,7 @@ class FieldCtx:
     so sharing a context across threads is safe.
     """
 
-    __slots__ = ("p", "n", "q", "modulus", "_primitive", "_tables")
+    __slots__ = ("p", "n", "q", "modulus", "_primitive", "_tables", "__weakref__")
 
     def __init__(self, p: int, n: int = 1, modulus=None):
         if n < 1:
@@ -368,8 +367,8 @@ def primitive_element(ctx: FieldCtx) -> Fe:
     each candidate is charged only the powers it ran, up to its first equal
     to 1; the search stops before one whose whole test could pass WORK_CAP.
     """
-    if ctx._primitive is not None:
-        return ctx._primitive
+    if ctx._primitive is not None:  # kept as coefficients: an Fe would hold ctx in a cycle
+        return Fe(ctx, ctx._primitive)
     one = ctx.one()
     cofactors = [(ctx.q - 1) // f for f in factorize(ctx.q - 1)]
     test = sum(_power_work(e, ctx.n) for e in cofactors)
@@ -382,16 +381,11 @@ def primitive_element(ctx: FieldCtx) -> Fe:
             if a ** e == one:
                 break
         else:
-            ctx._primitive = a
+            ctx._primitive = a.coeffs
             return a
     # q = 2: the only unit is 1
-    ctx._primitive = one
+    ctx._primitive = one.coeffs
     return one
-
-
-@lru_cache(maxsize=None)
-def _digit_binom(md: int, kd: int) -> int:
-    return math.comb(md, kd)
 
 
 def lucas_binom(m: int, k: int, p: int) -> int:
@@ -405,7 +399,7 @@ def lucas_binom(m: int, k: int, p: int) -> int:
         md, kd = m % p, k % p
         if kd > md:
             return 0
-        out = out * (_digit_binom(md, kd) % p) % p
+        out = out * (math.comb(md, kd) % p) % p
         m //= p
         k //= p
     return out

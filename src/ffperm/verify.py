@@ -21,6 +21,7 @@ from . import carlitz as cz
 from . import counting as ct
 from . import fastfield as ff
 from . import lincomp as lco
+from .errors import BadRange
 from .gf import make_field
 from .polyring import weight
 
@@ -346,6 +347,9 @@ def run_check(k: int, **kw) -> CheckResult:
 
 def run_all(nu_limit: int = NU_SCAN_LIMIT, seed: int = DEFAULT_SEED,
             report=None) -> list[CheckResult]:
+    if nu_limit < 3:  # refused before criterion 1, not when criterion 2 reaches the scan
+        raise BadRange(f"the nu_p scan needs a limit >= 3, got {nu_limit}")
+    ct._check_nu_cap(nu_limit)
     results = []
     for k in range(1, len(CHECKS) + 1):
         res = run_check(k, nu_limit=nu_limit, seed=seed)

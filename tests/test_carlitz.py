@@ -50,6 +50,15 @@ def test_chain_invariants_enforced():
         chain_of(ctx, 1, 1, 0, 2)    # a2 = 0
     # a_{n+1} = 0 is allowed
     chain_of(ctx, 1, 1, 2, 0)
+    # over F_2, x^(q-2) = x^0 is not inversion: only a0 x + a1 is a chain
+    f2 = make_field(2)
+    assert cz.expand_chain(chain_of(f2, 1, 1)) == Poly.from_coeffs(f2, [1, 1])
+    with pytest.raises(BadChain):
+        chain_of(f2, 1, 0, 0)
+    with pytest.raises(BadChain):
+        chain_of(f2, 1, 0, 1, 0)
+    with pytest.raises(BadParam):
+        cz.rank2_coeffs(f2.one(), f2.zero(), f2.one(), f2.zero())
 
 
 def test_convergents_and_poles():

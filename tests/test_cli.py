@@ -319,6 +319,10 @@ Q_CAPS = [
     ["blahut", "--poly", '{"field":"p=5","coeffs":[1.5]}'],
     ["rank", "--poly", '{"field":"p=3,n=2","coeffs":[[0,false]]}'],
     ["weight", "--poly", '{"field":"p=5","coeffs":[1,null]}'],
+    ["expand", "--p", "2", "--chain=1,0,1"],
+    ["rank2-coeffs", "--p", "2", "--chain=1,0,1,0"],
+    ["selftest", "--nu-limit", "2"],
+    ["selftest", "--nu-limit", "40000"],
 ] + FIELD_CAPS + Q_CAPS)
 def test_malformed_input_exits_2_without_traceback(capsys, argv):
     with _budget():

@@ -1,6 +1,8 @@
 """Index-table arithmetic must agree with the scalar implementation."""
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -119,8 +121,8 @@ def test_batch_interp_exact_at_float32_edge(p, n, dtype, monkeypatch):
 
 
 def test_default_block_shares_prefixes_on_every_sweep_field():
-    # chain_value_tables computes a stage once per prefix run only in blocks of
-    # more than q rows; every odd field the rank-2 sweep admits gets such blocks
+    # pins ROW_BLOCK: every odd field the rank-2 sweep admits gets blocks of more
+    # than q rows, each holding a whole run of chain_grid's innermost prefix
     primes = [p for p in range(3, 410, 2) if all(p % d for d in range(3, int(p ** 0.5) + 1, 2))]
     for p in primes:
         q, n = p, 1
@@ -190,17 +192,18 @@ def test_chain_value_tables_on_many_rows(p, n, monkeypatch):
     q = ctx.q
     monkeypatch.setattr(ff, "ROW_BLOCK", 7 * q)  # blocks of 7 rows, the last one short
     rng = np.random.default_rng(q)
-    m = 40
-    for length in (1, 2, 3):
-        units = [rng.integers(1, q, m) for _ in range(length)]  # a0, a2, ..., a_n
-        cols = units[:1] + [rng.integers(0, q, m)] + units[1:] + [rng.integers(0, q, m)]
-        tabs = ff.chain_value_tables(t, cols)
-        assert tabs.shape == (m, q)
-        for r in range(m):
-            ch = Chain(ctx, tuple(ctx.el_at(int(a[r])) for a in cols))
-            # every chain has a pole: a0 x + a1 vanishes at x = -a1/a0
-            assert tabs[r].tolist() == [ctx.index_of(_chain_value(ch, ctx.el_at(x)))
-                                        for x in range(q)]
+    for length in (0, 1, 2, 3):  # length 0: (a0, a1) alone, stage 1 is the last
+        for m in (1, q - 1, 40):  # one row, fewer rows than q, more
+            units = [rng.integers(1, q, m) for _ in range(max(length, 1))]  # a0, a2, ..., a_n
+            cols = units[:1] + [rng.integers(0, q, m)] + units[1:]
+            cols += [rng.integers(0, q, m)] if length else []
+            tabs = ff.chain_value_tables(t, cols)
+            assert tabs.shape == (m, q)
+            for r in range(m):
+                ch = Chain(ctx, tuple(ctx.el_at(int(a[r])) for a in cols))
+                # every chain of length >= 1 has a pole: a0 x + a1 vanishes at x = -a1/a0
+                assert tabs[r].tolist() == [ctx.index_of(_chain_value(ch, ctx.el_at(x)))
+                                            for x in range(q)]
 
 
 @pytest.mark.parametrize("p,n", [(5, 1), (2, 2), (3, 2), (7, 1), (2, 3)])
@@ -211,19 +214,23 @@ def test_chain_value_tables_share_prefixes(p, n, monkeypatch):
     t = ff.tables(ctx)
     q = ctx.q
     rng = np.random.default_rng(q)
-    for length in (1, 2, 3):
-        grid = ff.chain_grid(q, length)
+    for length in (0, 1, 2, 3):
+        # length 0: the (a0, a1) columns of the length-1 grid, each pair repeated q times
+        grid = ff.chain_grid(q, max(length, 1))[:length + 2]
         if length == 3 and q > 5:
             keep = np.sort(rng.choice(len(grid[0]), 3000, replace=False))
             grid = [g[keep] for g in grid]  # still lexicographic, with runs of every length
         perm = rng.permutation(len(grid[0]))
-        monkeypatch.setattr(ff, "ROW_BLOCK", 13 * q)  # 13 > q rows: runs shared, cut at edges
+        monkeypatch.setattr(ff, "ROW_BLOCK", 13 * q)  # 13 rows a block: runs cut at edges
         lex = ff.chain_value_tables(t, grid)
         shuffled = ff.chain_value_tables(t, [g[perm] for g in grid])
-        monkeypatch.setattr(ff, "ROW_BLOCK", q * q)  # q rows a block: every stage on every row
+        few = ff.chain_value_tables(t, [g[perm[:q]] for g in grid])  # q rows, mostly unshared
+        monkeypatch.setattr(ff, "ROW_BLOCK", q)  # one row a block: every row its own head
         assert (ff.chain_value_tables(t, grid) == lex).all()
         assert (shuffled == lex[perm]).all()
+        assert (few == lex[perm[:q]]).all()
         for r in rng.choice(len(grid[0]), 40, replace=False):
+            assert (ff.chain_value_tables(t, [g[r:r + 1] for g in grid]) == lex[r]).all()
             ch = Chain(ctx, tuple(ctx.el_at(int(a[r])) for a in grid))
             assert lex[r].tolist() == [ctx.index_of(_chain_value(ch, ctx.el_at(x)))
                                        for x in range(q)]
@@ -270,6 +277,24 @@ def test_weight_and_degree_rows():
 def test_table_cap_enforced():
     with pytest.raises(FieldTooLarge):
         ff.FieldTables(make_field(4099))
+
+
+def test_tables_freed_with_their_context():
+    """No reference cycle: dropping a context frees its tables without the cyclic GC."""
+    ctx = make_field(7, 2)
+    t = ff.tables(ctx)
+    t.interp_matrix(), t.add_inv
+    assert t.ctx is ctx and ff.tables(ctx) is t
+    gone = weakref.ref(t)
+    gc.disable()
+    try:
+        del ctx, t
+        assert gone() is None
+    finally:
+        gc.enable()
+    # tables kept past their context answer with an equal context that shares them
+    t = ff.tables(make_field(3, 2))
+    assert t.ctx == make_field(3, 2) and ff.tables(t.ctx) is t
 
 
 def test_table_byte_cap_enforced(monkeypatch):
