@@ -3,6 +3,8 @@
 Every operation of the library is reachable from a subcommand; reports
 are JSON (default) or CSV, randomized suites print their seed, and exit
 codes distinguish verification failures (1) from usage errors (2).
+Importing this module and building a parser load neither numpy nor the
+computing modules: each handler imports the modules it runs.
 """
 
 from __future__ import annotations
@@ -12,12 +14,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from . import carlitz as cz
-from . import counting as ct
-from . import lincomp as lco
-from . import verify
 from .errors import FFPermError, FieldTooLarge
-from .fastfield import permutes, value_table
 from .gf import FieldCtx, format_field_spec, make_field, parse_field_spec, primitive_element
 from .polyring import Poly, _coeff_to_jsonable, degree, poly_from_json, poly_to_json, weight
 
@@ -48,10 +45,11 @@ def _capped(ctx: FieldCtx, cap: int) -> FieldCtx:
     return ctx
 
 
-def _chain_from_args(args) -> cz.Chain:
-    """--chain over the field options, refused above the rank cap as `rank`
-    is: `expand` and `rank2-coeffs` expand it through the (q*n)^2
-    interpolation matrix."""
+def _chain_from_args(args):
+    """--chain over the field options, as a carlitz.Chain, refused above the
+    rank cap as `rank` is: `expand` and `rank2-coeffs` expand it through the
+    (q*n)^2 interpolation matrix."""
+    from . import carlitz as cz
     ctx = _capped(_field_from_args(args), cz.RANK_CAP_DEFAULT)
     try:
         ints = [int(s) for s in args.chain.split(",")]
@@ -107,12 +105,14 @@ def cmd_field_info(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    from . import carlitz as cz
     f = cz.expand_chain(_chain_from_args(args))
     print(poly_to_json(f))
     return EXIT_OK
 
 
 def cmd_rank2_coeffs(args) -> int:
+    from . import carlitz as cz
     ch = _chain_from_args(args)
     if ch.n != 2:
         raise SystemExit2("rank2-coeffs needs a chain a0,a1,a2,a3")
@@ -127,6 +127,7 @@ def cmd_rank2_coeffs(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    from . import carlitz as cz
     rep = cz.rank_upto2(_load_poly(args, cz.RANK_CAP_DEFAULT))
     out = {"rank": rep.label}
     if rep.witness is not None:
@@ -136,6 +137,8 @@ def cmd_rank(args) -> int:
 
 
 def cmd_weight(args) -> int:
+    from . import carlitz as cz
+    from .fastfield import permutes, value_table
     f = _load_poly(args, cz.RANK_CAP_DEFAULT)  # the permutation test builds q x q tables
     _emit({"weight": weight(f), "degree": degree(f),
            "permutation": permutes(value_table(f))})
@@ -143,11 +146,13 @@ def cmd_weight(args) -> int:
 
 
 def cmd_nu_p(args) -> int:
+    from . import counting as ct
     _emit(asdict(ct.nu_p(args.p)))
     return EXIT_OK
 
 
 def cmd_scan_nu(args) -> int:
+    from . import counting as ct
     lo, hi = _parse_range(args.range)
     rows, summary = ct.conjecture_scan(lo, hi)
     if args.format == "csv":
@@ -160,6 +165,7 @@ def cmd_scan_nu(args) -> int:
 
 
 def cmd_count_window(args) -> int:
+    from . import counting as ct
     ctx = _field_from_args(args)
     qr = ct.CountQuery(ctx, ctx.from_int(args.gamma), ctx.from_int(args.c),
                        ctx.from_int(args.d), args.L, args.M)
@@ -173,6 +179,7 @@ def cmd_count_window(args) -> int:
 
 
 def cmd_count_full(args) -> int:
+    from . import counting as ct
     ctx = _field_from_args(args)
     count = ct.count_full(ctx, ctx.from_int(args.gamma))
     _emit({"q": ctx.q, "gamma": args.gamma, "count": count})
@@ -180,6 +187,8 @@ def cmd_count_full(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from . import carlitz as cz
+    from . import counting as ct
     ctx = _field_from_args(args)
     nu = ct.nu_p(ctx.p).nu
     thm = cz.thm_rank2_bound(ctx)
@@ -191,6 +200,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_sweep_rank1(args) -> int:
+    from . import carlitz as cz
     ctx = _field_from_args(args)
     q, p = ctx.q, ctx.p
     sw = cz.sweep_rank1(ctx)
@@ -202,6 +212,8 @@ def cmd_sweep_rank1(args) -> int:
 
 
 def cmd_sweep_rank2(args) -> int:
+    from . import carlitz as cz
+    from . import counting as ct
     ctx = _field_from_args(args)
     q, p = ctx.q, ctx.p
     sw = cz.sweep_rank2(ctx)
@@ -219,6 +231,7 @@ def cmd_sweep_rank2(args) -> int:
 
 
 def cmd_blahut(args) -> int:
+    from . import lincomp as lco
     f = _load_poly(args, lco.BLAHUT_CAP)
     lc, fw, eq = lco.blahut_check(f)
     _emit({"linear_complexity": lc, "folded_weight": fw, "equal": eq})
@@ -226,6 +239,9 @@ def cmd_blahut(args) -> int:
 
 
 def cmd_example_f11(args) -> int:
+    from . import carlitz as cz
+    from . import counting as ct
+    from .fastfield import permutes, value_table
     f = cz.example_fn(1 if args.n is None else args.n)
     _emit({"q": f.ctx.q, "weight": weight(f),
            "permutation": permutes(value_table(f)),
@@ -236,9 +252,11 @@ def cmd_example_f11(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    print(f"# seed = {args.seed}")
-    results = verify.run_all(nu_limit=args.nu_limit, seed=args.seed,
-                             report=print)
+    from . import verify
+    seed = verify.DEFAULT_SEED if args.seed is None else args.seed
+    nu_limit = verify.NU_SCAN_LIMIT if args.nu_limit is None else args.nu_limit
+    print(f"# seed = {seed}")
+    results = verify.run_all(nu_limit=nu_limit, seed=seed, report=print)
     failed = [r for r in results if not r.passed]
     print(f"# {len(results) - len(failed)}/{len(results)} criteria passed")
     for r in failed:
@@ -273,9 +291,8 @@ OPTIONS = {
     "L": ("--L", {"type": int, "required": True}),
     "M": ("--M", {"type": int, "required": True}),
     "show-poly": ("--show-poly", {"action": "store_true"}),
-    "seed": ("--seed", {"type": int, "default": verify.DEFAULT_SEED}),
-    "nu-limit": ("--nu-limit", {"type": int, "default": verify.NU_SCAN_LIMIT,
-                                "help": "upper end of the nu_p scan"}),
+    "seed": ("--seed", {"type": int}),  # None: verify.DEFAULT_SEED
+    "nu-limit": ("--nu-limit", {"type": int, "help": "upper end of the nu_p scan"}),
 }
 FIELD = ("field", "p", "n")
 
@@ -301,28 +318,36 @@ COMMANDS = {
 }
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The ffperm parser, with every subcommand or with only the one named."""
+def _add_options(ap: argparse.ArgumentParser, opts) -> argparse.ArgumentParser:
+    for opt in opts:
+        flag, kw = OPTIONS[opt]
+        ap.add_argument(flag, **kw)
+    return ap
+
+
+def build_parser(name: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the one subcommand named, as `ffperm <name>` with the usage
+    its subparser has; with no name, the ffperm parser with every subcommand."""
+    if name is not None:
+        ap = _add_options(argparse.ArgumentParser(prog=f"ffperm {name}"), COMMANDS[name][2])
+        ap.set_defaults(command=name)
+        return ap
     ap = argparse.ArgumentParser(
         prog="ffperm",
         description="Permutation polynomials of small Carlitz rank: "
                     "weights, bounds, and linear complexity.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (_, help_line, opts) in COMMANDS.items():
-        if only in (None, name):
-            sp = sub.add_parser(name, help=help_line)
-            for opt in opts:
-                flag, kw = OPTIONS[opt]
-                sp.add_argument(flag, **kw)
+    for cmd, (_, help_line, opts) in COMMANDS.items():
+        _add_options(sub.add_parser(cmd, help=help_line), opts)
     return ap
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # one subparser when argv names a subcommand; all of them for --help and errors
-    ap = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+    # one parser when argv names a subcommand; all of them for --help and errors
+    name = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = ap.parse_args(argv)
+        args = build_parser(name).parse_args(argv[1:] if name else argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

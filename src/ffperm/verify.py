@@ -335,21 +335,24 @@ CHECKS = {
 }
 
 
-def run_check(k: int, **kw) -> CheckResult:
-    """Run criterion k (1-based) and time it."""
+def run_check(k: int, nu_limit: int = NU_SCAN_LIMIT, seed: int = DEFAULT_SEED) -> CheckResult:
+    """Run criterion k (1-based) and time it; a nu_p scan limit below 3 or over
+    NU_P_CAP is refused whichever criterion is asked for."""
     if not 1 <= k <= len(CHECKS):
         raise ValueError(f"no criterion {k}")
+    if nu_limit < 3:
+        raise BadRange(f"the nu_p scan needs a limit >= 3, got {nu_limit}")
+    ct._check_nu_cap(nu_limit)
     name, fn = list(CHECKS.items())[k - 1]
     t0 = time.perf_counter()
-    passed, details = fn(**kw)
+    passed, details = fn(nu_limit=nu_limit, seed=seed)
     return CheckResult(k, name, passed, details, time.perf_counter() - t0)
 
 
 def run_all(nu_limit: int = NU_SCAN_LIMIT, seed: int = DEFAULT_SEED,
             report=None) -> list[CheckResult]:
-    if nu_limit < 3:  # refused before criterion 1, not when criterion 2 reaches the scan
-        raise BadRange(f"the nu_p scan needs a limit >= 3, got {nu_limit}")
-    ct._check_nu_cap(nu_limit)
+    """Run every criterion in order; run_check refuses a bad nu_limit before
+    criterion 1 runs."""
     results = []
     for k in range(1, len(CHECKS) + 1):
         res = run_check(k, nu_limit=nu_limit, seed=seed)

@@ -108,6 +108,17 @@ def test_criterion_13_conjecture_report():
     assert run(13).passed
 
 
+def test_run_check_refuses_a_bad_nu_limit():
+    """Every criterion refuses a limit the nu_p scan cannot take, before it runs."""
+    from ffperm import counting as ct
+    from ffperm.errors import BadRange, FieldTooLarge
+    for k in (1, 2, 13):
+        with pytest.raises(BadRange):
+            verify.run_check(k, nu_limit=2)
+        with pytest.raises(FieldTooLarge):
+            verify.run_check(k, nu_limit=ct.NU_P_CAP + 1)
+
+
 def test_report_summary():
     lines = [_results[k].line() for k in sorted(_results)]
     print()

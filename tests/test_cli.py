@@ -248,6 +248,32 @@ def test_usage_errors_exit_2(capsys):
     assert main(["scan-nu", "--range", "oops"]) == 2
 
 
+def test_import_and_parse_load_no_computing_module():
+    """A fresh process that imports the CLI and answers field-info loads neither
+    numpy nor the modules the other subcommands run."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ffperm
+    src = str(Path(ffperm.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import ffperm.cli as cli; "
+            "assert cli.main(['field-info', '--p', '53']) == 0; "
+            "heavy = ['numpy'] + ['ffperm.' + m for m in "
+            "('carlitz', 'counting', 'lincomp', 'verify', 'fastfield')]; "
+            "print(sorted(m for m in heavy if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, check=True).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_unknown_option_names_its_subcommand(capsys):
+    assert main(["field-info", "--bogus"]) == 2
+    assert " ".join(capsys.readouterr().err.split()) == (
+        "usage: ffperm field-info [-h] [--field FIELD] [--p P] [--n N] "
+        "ffperm field-info: error: unrecognized arguments: --bogus")
+
+
 BUDGET_S = 10  # wall clock per call, so an uncapped path fails instead of hanging
 
 

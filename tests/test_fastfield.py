@@ -42,18 +42,35 @@ def test_pow_conventions():
     assert (t.pow_outer(many, np.array([0, 1, 3, 4])) == np.tile(outer, (3, 1))).all()
 
 
-@pytest.mark.parametrize("p,n", FIELDS)
-def test_batch_eval_matches_scalar(p, n):
+def _scalar_tables(ctx, rows):
+    polys = [Poly(ctx, tuple(ctx.el_at(int(i)) for i in r)) for r in rows]
+    return [[ctx.index_of(v) for v in eval_table(f).values] for f in polys]
+
+
+@pytest.mark.parametrize("p,n", FIELDS + [(7, 2), (53, 1), (73, 1)])
+def test_batch_eval_matches_scalar(p, n, monkeypatch):
     ctx = make_field(p, n)
     t = ff.tables(ctx)
     q = ctx.q
     rng = np.random.default_rng(q)
     rows = rng.integers(0, q, size=(8, q)).astype(np.int32)
+    rows[1, rng.random(q) < 0.5] = 0  # zero coefficients, c_0 = 0 among them
+    rows[2] = 0
+    expect = _scalar_tables(ctx, rows)
+    assert t._eval_terms is not None  # the whole-array path, on one row and on eight
+    assert t.batch_eval(rows[:1]).tolist() == expect[:1]
     tabs = t.batch_eval(rows)
-    for r in range(len(rows)):
-        f = Poly(ctx, tuple(ctx.el_at(int(i)) for i in rows[r]))
-        expect = [ctx.index_of(v) for v in eval_table(f).values]
-        assert tabs[r].tolist() == expect
+    assert tabs.tolist() == expect
+    # passes of a few points, and of a few whole rows
+    for block in (2 * q, 3 * q * q):
+        monkeypatch.setattr(ff, "ROW_BLOCK", block)
+        assert t.batch_eval(rows).tolist() == expect
+    monkeypatch.undo()
+    # Horner, the path of fields whose packed sums pass 63 bits, on the same rows
+    monkeypatch.setitem(t.__dict__, "_eval_terms", None)
+    assert t.batch_eval(rows[:1]).tolist() == expect[:1]
+    assert t.batch_eval(rows).tolist() == expect
+    monkeypatch.undo()
     # interpolation and evaluation invert each other
     assert (t.batch_interp(tabs) == rows).all()
     vals = rng.integers(0, q, size=(8, q)).astype(np.int32)
@@ -63,6 +80,41 @@ def test_batch_eval_matches_scalar(p, n):
     for r in range(len(vals)):
         f = interpolate(ValueTable(ctx, tuple(ctx.el_at(int(i)) for i in vals[r])))
         assert coeffs[r].tolist() == [ctx.index_of(c) for c in f.coeffs]
+
+
+def test_batch_eval_by_horner_where_packed_sums_pass_63_bits():
+    ctx = make_field(2, 8)  # 8 components of up to 9 bits each
+    t = ff.tables(ctx)
+    assert t._eval_terms is None
+    rows = np.random.default_rng(8).integers(0, 256, size=(2, 256)).astype(np.int32)
+    assert t.batch_eval(rows).tolist() == _scalar_tables(ctx, rows)
+
+
+@pytest.mark.parametrize("p,n", [(2, 12), (3, 7), (13, 3), (7, 2), (4093, 1)])
+def test_tables_match_the_scalar_power_walk(p, n):
+    """exp, log, mul and inv0 as the powers of g by Fe products give them."""
+    from ffperm.gf import primitive_element
+    ctx = make_field(p, n)
+    t = ff.FieldTables(ctx)
+    q = ctx.q
+    g, acc, walk = primitive_element(ctx), ctx.one(), []
+    for _ in range(q - 1):
+        walk.append(ctx.index_of(acc))
+        acc = acc * g
+    assert t.exp.tolist() == walk
+    log = np.full(q, -1)
+    log[walk] = np.arange(q - 1)
+    assert (t.log == log).all()
+    inv = np.zeros(q, dtype=np.int64)
+    inv[walk] = np.array(walk)[(-np.arange(q - 1)) % (q - 1)]
+    assert (t.inv0 == inv).all()
+    lg = log[1:]
+    assert (t.mul[1:, 1:] == np.array(walk)[(lg[:, None] + lg[None, :]) % (q - 1)]).all()
+    assert not t.mul[0].any() and not t.mul[:, 0].any()
+    rng = np.random.default_rng(q)  # a few products and inverses by Fe directly
+    for i, j in rng.integers(0, q, size=(50, 2)):
+        a, b = ctx.el_at(int(i)), ctx.el_at(int(j))
+        assert t.mul[i, j] == ctx.index_of(a * b) and t.inv0[i] == ctx.index_of(inv0(a))
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 2)])
