@@ -58,9 +58,21 @@ def _chain_from_args(args):
     return cz.Chain(ctx, tuple(ctx.from_int(v) for v in ints))
 
 
-def _load_poly(args, cap: int) -> Poly:
-    """--poly over the field options, if given; its field is refused above
-    cap before the dense coefficient list is built."""
+def _rank_cap() -> int:
+    from .carlitz import RANK_CAP_DEFAULT
+    return RANK_CAP_DEFAULT
+
+
+def _blahut_cap() -> int:
+    from .lincomp import BLAHUT_CAP
+    return BLAHUT_CAP
+
+
+def _load_poly(args, cap) -> Poly:
+    """--poly over the field options, if given.  Its JSON and field spec are
+    parsed before cap() imports the module that defines the cap, so a malformed
+    --poly loads no computing module; the field is refused above the cap before
+    the dense coefficient list is built."""
     ctx = None  # take the field from --poly
     if args.field is not None or args.p is not None or args.n is not None:
         ctx = _field_from_args(args)
@@ -69,7 +81,7 @@ def _load_poly(args, cap: int) -> Poly:
         if not text.lstrip().startswith("{"):
             with open(text) as fh:
                 text = fh.read()
-        _capped(parse_field_spec(json.loads(text)["field"]), cap)
+        _capped(parse_field_spec(json.loads(text)["field"]), cap())
         return poly_from_json(text, ctx)
     except OSError as exc:
         raise SystemExit2(f"cannot read --poly: {exc}") from exc
@@ -127,8 +139,9 @@ def cmd_rank2_coeffs(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    f = _load_poly(args, _rank_cap)
     from . import carlitz as cz
-    rep = cz.rank_upto2(_load_poly(args, cz.RANK_CAP_DEFAULT))
+    rep = cz.rank_upto2(f)
     out = {"rank": rep.label}
     if rep.witness is not None:
         out["witness_chain"] = [_coeff_to_jsonable(a) for a in rep.witness.a]
@@ -137,9 +150,8 @@ def cmd_rank(args) -> int:
 
 
 def cmd_weight(args) -> int:
-    from . import carlitz as cz
+    f = _load_poly(args, _rank_cap)  # the permutation test builds q x q tables
     from .fastfield import permutes, value_table
-    f = _load_poly(args, cz.RANK_CAP_DEFAULT)  # the permutation test builds q x q tables
     _emit({"weight": weight(f), "degree": degree(f),
            "permutation": permutes(value_table(f))})
     return EXIT_OK
@@ -231,8 +243,8 @@ def cmd_sweep_rank2(args) -> int:
 
 
 def cmd_blahut(args) -> int:
+    f = _load_poly(args, _blahut_cap)
     from . import lincomp as lco
-    f = _load_poly(args, lco.BLAHUT_CAP)
     lc, fw, eq = lco.blahut_check(f)
     _emit({"linear_complexity": lc, "folded_weight": fw, "equal": eq})
     return EXIT_OK if eq else EXIT_VERIFY

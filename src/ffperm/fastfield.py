@@ -5,30 +5,23 @@ enumeration (see gf); index 0 is the zero element.  Addition and
 multiplication are q x q tables, the multiplication table built from
 discrete logs, whose powers of g come from integer arithmetic (a running
 product for prime fields, blocks doubled by a matrix over F_p otherwise).
-Evaluation sums every term c_i x^i at once, as packed prime-field
-components; interpolation is one explicit (q*n)^2 matrix over F_p,
-applied as one float GEMM that is exact because every partial sum is an
-integer the float type holds (float32 when q*n*(p-1)^2 < 2^24, else
-float64).
+Every power x^i comes from one cached power table, i log x mod (q-1) with
+sentinels for zero: pow_outer gathers from it, and batch_eval sums every
+term c_i x^i at once as prime-field components packed into int32 or int64
+words.  Interpolation is one explicit (q*n)^2 matrix over F_p, applied as
+one float GEMM that is exact because every partial sum is an integer the
+float type holds (float32 when q*n*(p-1)^2 < 2^24, else float64).
 Chain value tables are built one block of rows at a time by one stage
 loop of 2-D table gathers: each stage but the last is computed once per
 run of equal parameter prefixes, each stage after the first by one gather
 from the composed table add[a, inv0[v]]; chain_coeff_blocks interpolates
-them block by block, so a sweep holds no (rows x q) table.  Values enter
-the matrix point-major, so batch_interp gathers all n components of a
-value at once.  The block loop allocates one workspace per call and
-batch_interp writes every step into it (gather, GEMM, cast, the mod-p
-reduction as r - (r // p) * p, Horner), so blocks reuse the same pages
-and each yielded block is a view that the next one overwrites.
-ROW_BLOCK = 2^19 entries (2 MiB buffers at float32) is the smallest power
-of two that gives every field a rank-2 sweep admits blocks of more than q
-rows (at 2^18 the 7^3 and 3^5 sweeps ran 25% slower, when such blocks were
-the only ones that shared prefixes), and was as fast as 2^20 in
-interleaved scans.
-The rank-2 closed form computes its (a1, a2) factor once per distinct pair.  All batch
-routines here are cross-checked against the scalar gf/polyring/lincomp
-implementations in the test suite; they are accelerators, not a second
-source of truth.
+them block by block into one workspace per call, so a sweep holds no
+(rows x q) table and each yielded block is a view the next overwrites.
+ROW_BLOCK bounds the entries of every block; CHANGES.md records how its
+value was chosen.  The rank-2 closed form computes its (a1, a2) factor
+once per distinct pair.  All batch routines here are cross-checked against
+the scalar gf/polyring/lincomp implementations in the test suite; they are
+accelerators, not a second source of truth.
 """
 
 from __future__ import annotations
@@ -145,25 +138,46 @@ class FieldTables:
         return self.add[:, self.inv0].ravel()
 
     # -- powers with the 0**0 = 1 convention -------------------------------
-    def pow_outer(self, base: np.ndarray, exps: np.ndarray) -> np.ndarray:
-        """(len(base), len(exps)) array of base[r]^exps[c], exps >= 0.
+    @functools.cached_property
+    def _powers(self):
+        """The one power table, built on first use: (lg, pow_log, exp4, words, b, per).
 
-        Works in int32: with exps reduced mod q-1 the log products stay
-        below (q-1)^2 < 2^31.  With more rows than field elements, the
-        powers of every element are computed once and gathered by row.
+        x^i is exp4[pow_log[x, i]] and c x^i is exp4[lg[c] + pow_log[x, i]], with
+        no mask or mod: lg is log with 2(q-1) at 0, pow_log[x, i] is i log x mod
+        (q-1) with 0 at (0, 0) (0^0 = 1) and 2(q-1) elsewhere on row 0, and exp4
+        is exp twice, then zeros up to index 4(q-1).  words packs the components
+        of exp4 for batch_eval: component k in word k // per at bit b (k % per),
+        b bits each to hold a sum of q of them, per = 31 // b in int32 words
+        when all n fit in 31 bits, else 63 // b in int64 words.
         """
+        q, p, n = self.q, self.p, self.n
+        zero = 2 * (q - 1)
+        check_bytes(4 * q * q, f"the q x q power table at q = {q}")
+        lg = self.log.copy()
+        lg[0] = zero
+        pow_log = np.arange(q, dtype=np.int32) * lg[:, None]
+        pow_log %= q - 1
+        pow_log[0, 1:] = zero
+        exp4 = np.zeros(2 * zero + 1, dtype=np.int32)
+        exp4[:zero] = np.tile(self.exp, 2)
+        b = (q * (p - 1)).bit_length()
+        dtype, per = (np.int32, 31 // b) if n * b <= 31 else (np.int64, 63 // b)
+        packed = self.elems[exp4] << b * (np.arange(n) % per)
+        words = [packed[:, k:k + per].sum(axis=1).astype(dtype) for k in range(0, n, per)]
+        return lg, pow_log, exp4, words, b, per
+
+    def pow_outer(self, base: np.ndarray, exps: np.ndarray) -> np.ndarray:
+        """(len(base), len(exps)) array of base[r]^exps[c], 0 <= exps < q: one
+        gather from the power table, of whole rows when there are more bases
+        than field elements and of the (base, exponent) entries otherwise."""
+        _, pow_log, exp4, *_ = self._powers
         base = np.asarray(base)
         exps = np.asarray(exps)
+        if exps.size and (exps.min() < 0 or exps.max() >= self.q):
+            raise ValueError(f"exponent outside [0, {self.q})")
         if len(base) > self.q:
-            return np.take(self.pow_outer(np.arange(self.q), exps), base, axis=0)
-        e = (exps % (self.q - 1)).astype(np.int32)
-        lg = self.log[base]  # -1 at zero bases, overwritten below
-        prod = lg[:, None] * e[None, :]
-        prod %= self.q - 1
-        out = self.exp[prod]
-        out[base == 0] = 0
-        out[:, exps == 0] = self.emb[1]
-        return out
+            return np.take(exp4[pow_log[:, exps]], base, axis=0)
+        return exp4[pow_log[base[:, None], exps]]
 
     # -- evaluation and interpolation -------------------------------------
     def interp_matrix(self) -> np.ndarray:
@@ -208,57 +222,17 @@ class FieldTables:
             self._interp_matrix = T.reshape(q * n, q * n)
         return self._interp_matrix
 
-    @functools.cached_property
-    def _eval_terms(self):
-        """batch_eval's term tables, or None when a packed sum does not fit an int64.
-
-        Term (x, i) of sum_i c_i x^i is exp[(log c_i + i log x) mod (q-1)], looked up
-        as words[lg[c_i] + pow_log[x, i]]: lg is log with 2(q-1) at 0, pow_log[x, i]
-        is i log x mod (q-1) with 0 at (0, 0) (0^0 = 1) and 2(q-1) elsewhere on row
-        0, and words[j] packs the components of exp[j mod (q-1)] for j < 2(q-1) and
-        is 0 from there on, so a zero c_i or x gives a zero term with no mask or mod.
-        Component k takes the b bits at b*(n-1-k), which hold a sum of q of them;
-        the word type is int32 when n*b <= 31, else int64.
-        """
-        q, p, n = self.q, self.p, self.n
-        b = (q * (p - 1)).bit_length()
-        if n * b > 63:
-            return None
-        dtype = np.int32 if n * b <= 31 else np.int64
-        zero = 2 * (q - 1)
-        check_bytes(4 * q * q, f"the q x q term exponent table at q = {q}")
-        lg = self.log.copy()
-        lg[0] = zero
-        pow_log = np.arange(q, dtype=np.int32) * lg[:, None]
-        pow_log %= q - 1
-        pow_log[0, 1:] = zero
-        shift = b * np.arange(n - 1, -1, -1)
-        comp = self.elems[np.concatenate([self.exp, self.exp])]
-        words = np.zeros(2 * zero + 1, dtype=dtype)
-        words[:zero] = (comp << shift).sum(axis=1)
-        return lg, pow_log, words, b
-
     def batch_eval(self, coeff_rows: np.ndarray) -> np.ndarray:
         """Value tables of reduced coefficient rows (indices in, indices out).
 
         Every point against every exponent in whole-array passes of at most
-        ROW_BLOCK terms: the (rows, points, q) terms of _eval_terms, summed
-        as packed prime-field components and each component reduced mod p.
-        Against Horner it measured as fast or faster at every row count from
-        1 to 500 on every field it fits (up to 10x at one row, 1.0-2.7x at
-        500), so the field alone picks the path: where n packed sums of q
-        components pass 63 bits (2^8 and up, 3^6 and up, 5^5) Horner runs at
-        every point at once, v <- v * x + c_i for i = q-1 .. 0.
+        ROW_BLOCK terms: term (x, i) of sum_i c_i x^i is looked up in each
+        packed word of the power table at lg[c_i] + pow_log[x, i], one gather
+        and one sum per word, and each summed component is reduced mod p.
         """
         coeff_rows = np.asarray(coeff_rows, dtype=np.int32)
         q, p, n = self.q, self.p, self.n
-        if self._eval_terms is None:
-            pts = np.arange(q)
-            v = np.zeros(coeff_rows.shape, dtype=np.int32)
-            for i in range(q - 1, -1, -1):
-                v = self.add[self.mul[v, pts], coeff_rows[:, i, None]]
-            return v
-        lg, pow_log, words, b = self._eval_terms
+        lg, pow_log, _, words, b, per = self._powers
         out = np.empty(coeff_rows.shape, dtype=np.int32)
         pts = min(q, max(1, ROW_BLOCK // q))  # points per pass
         step = max(1, ROW_BLOCK // (pts * q))  # rows per pass
@@ -266,11 +240,14 @@ class FieldTables:
         for r in range(0, len(out), step):
             lc = lg[coeff_rows[r:r + step, None, :]]
             for s in range(0, q, pts):
-                sums = words[lc + pow_log[s:s + pts]].sum(axis=-1, dtype=words.dtype)
-                v = np.zeros(sums.shape, dtype=np.int32)
+                terms = lc + pow_log[s:s + pts]
+                v = np.zeros(terms.shape[:-1], dtype=np.int32)
                 for k in range(n):  # index = sum_k component_k p^(n-1-k), by Horner
+                    if k % per == 0:
+                        word = words[k // per]
+                        sums = word[terms].sum(axis=-1, dtype=word.dtype)
                     v *= p
-                    v += (sums >> (b * (n - 1 - k)) & mask) % p
+                    v += (sums >> b * (k % per) & mask) % p
                 out[r:r + step, s:s + pts] = v
         return out
 
@@ -437,17 +414,15 @@ class ChainRows:
 
 
 def rank2_shift(t: FieldTables, a1, a2) -> np.ndarray:
-    """a2^-1 (a1 eta^(q-2) + 1 - a1^(q-1)), eta = a1 + a2^-1, per row.
+    """a2^-1 (a1 eta^(q-2) + 1 - a1^(q-1)), eta = a1 + a2^-1, per row, q >= 3.
 
     The constant coefficient of ((a0 x + a1)^(q-2) + a2)^(q-2) + a3 is
-    a3 plus this shift, whatever a0.
+    a3 plus this shift, whatever a0.  As eta^(q-2) = inv0[eta] and
+    1 - a1^(q-1) = [a1 == 0], it is a2^-1 (a1 inv0[eta] + [a1 == 0]).
     """
     a1 = np.asarray(a1, dtype=np.int32)
     inv_a2 = t.inv0[np.asarray(a2, dtype=np.int32)]
-    q = t.q
-    eta_top = t.pow_outer(t.add[a1, inv_a2], [q - 2])[:, 0]
-    a1_top = t.pow_outer(a1, [q - 1])[:, 0]
-    inner = t.add[t.mul[a1, eta_top], t.add[t.emb[1], t.neg[a1_top]]]
+    inner = t.add[t.mul[a1, t.inv0[t.add[a1, inv_a2]]], t.emb[1] * (a1 == 0)]
     return t.mul[inv_a2, inner]
 
 

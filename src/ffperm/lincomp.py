@@ -7,11 +7,10 @@ folded into the constant term (alpha^n never takes the value 0, so the
 sequence cannot tell x^(q-1) from 1).
 
 berlekamp_massey_rows takes one of two paths, chosen from an (R, N)
-input's R * N: at or below BM_WALK_MAX = 640 a row-by-row walk over list
-copies of the index tables, above it a numpy loop over all rows in
-lockstep (measured crossover: R * N = 684-720 for one row, 300-1,800
-for small-q batches).  The scalar berlekamp_massey on Fe values is the
-test oracle for both.
+input's R * N: at or below BM_WALK_MAX a row-by-row walk over list copies
+of the index tables, above it a numpy loop over all rows in lockstep
+(CHANGES.md records the measured crossovers).  The scalar
+berlekamp_massey on Fe values is the test oracle for both.
 """
 
 from __future__ import annotations
@@ -87,10 +86,9 @@ def berlekamp_massey_rows(t: ff.FieldTables, S) -> np.ndarray:
     At or below BM_WALK_MAX the rows are walked one at a time
     (_bm_rows_walk, about R * N * L list lookups, L the linear complexity);
     above it they step in lockstep (_bm_rows_lockstep, N numpy steps of a
-    fixed overhead).  With L about N / 2 the costs cross at a fixed R * N,
-    measured at 684-720 for one row (primes, 2^k and 3^k up to 512) and
-    at 300-1,800 for small-q batches: one blahut row walks for q <= 321,
-    criterion 10's batches step in lockstep.  Both paths return the same
+    fixed overhead).  With L about N / 2 the costs cross at a fixed R * N
+    (measured in CHANGES.md): one blahut row walks for q <= 321, criterion
+    10's batches step in lockstep.  Both paths return the same
     int64 array of shape (R,); the scalar berlekamp_massey is their oracle.
     """
     S = np.asarray(S, dtype=np.int32)

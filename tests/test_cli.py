@@ -231,14 +231,19 @@ HELP_LINES = {
 }
 
 
+def _unwrapped(text: str) -> str:
+    """text without whitespace: argparse wraps help at the terminal width, and
+    inside long words such as weight/degree/permutation on narrow terminals."""
+    return "".join(text.split())
+
+
 def test_help_lists_every_subcommand(capsys):
     code, out = run(capsys, "--help")
     assert code == 0
-    words = " ".join(out.split())
     for cmd, line in HELP_LINES.items():
-        assert f"{cmd} {line}" in words
-        code, out = run(capsys, cmd, "--help")
-        assert code == 0 and out.startswith(f"usage: ffperm {cmd} [-h]")
+        assert _unwrapped(f"{cmd} {line}") in _unwrapped(out)
+        code, out_cmd = run(capsys, cmd, "--help")
+        assert code == 0 and _unwrapped(out_cmd).startswith(_unwrapped(f"usage: ffperm {cmd} [-h]"))
 
 
 def test_usage_errors_exit_2(capsys):
@@ -249,8 +254,9 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_import_and_parse_load_no_computing_module():
-    """A fresh process that imports the CLI and answers field-info loads neither
-    numpy nor the modules the other subcommands run."""
+    """A fresh process that imports the CLI, answers field-info and refuses a
+    malformed --poly to rank, weight and blahut loads neither numpy nor the
+    modules the other subcommands run."""
     import subprocess
     import sys
     from pathlib import Path
@@ -259,6 +265,8 @@ def test_import_and_parse_load_no_computing_module():
     src = str(Path(ffperm.__file__).resolve().parent.parent)
     code = (f"import sys; sys.path.insert(0, {src!r}); import ffperm.cli as cli; "
             "assert cli.main(['field-info', '--p', '53']) == 0; "
+            "assert [cli.main([c, '--poly', '{bad']) for c in ('rank', 'weight', 'blahut')]"
+            " == [2, 2, 2]; "
             "heavy = ['numpy'] + ['ffperm.' + m for m in "
             "('carlitz', 'counting', 'lincomp', 'verify', 'fastfield')]; "
             "print(sorted(m for m in heavy if m in sys.modules))")

@@ -57,7 +57,6 @@ def test_batch_eval_matches_scalar(p, n, monkeypatch):
     rows[1, rng.random(q) < 0.5] = 0  # zero coefficients, c_0 = 0 among them
     rows[2] = 0
     expect = _scalar_tables(ctx, rows)
-    assert t._eval_terms is not None  # the whole-array path, on one row and on eight
     assert t.batch_eval(rows[:1]).tolist() == expect[:1]
     tabs = t.batch_eval(rows)
     assert tabs.tolist() == expect
@@ -65,11 +64,6 @@ def test_batch_eval_matches_scalar(p, n, monkeypatch):
     for block in (2 * q, 3 * q * q):
         monkeypatch.setattr(ff, "ROW_BLOCK", block)
         assert t.batch_eval(rows).tolist() == expect
-    monkeypatch.undo()
-    # Horner, the path of fields whose packed sums pass 63 bits, on the same rows
-    monkeypatch.setitem(t.__dict__, "_eval_terms", None)
-    assert t.batch_eval(rows[:1]).tolist() == expect[:1]
-    assert t.batch_eval(rows).tolist() == expect
     monkeypatch.undo()
     # interpolation and evaluation invert each other
     assert (t.batch_interp(tabs) == rows).all()
@@ -82,12 +76,29 @@ def test_batch_eval_matches_scalar(p, n, monkeypatch):
         assert coeffs[r].tolist() == [ctx.index_of(c) for c in f.coeffs]
 
 
-def test_batch_eval_by_horner_where_packed_sums_pass_63_bits():
-    ctx = make_field(2, 8)  # 8 components of up to 9 bits each
+def test_batch_eval_packs_two_words_where_one_sum_passes_63_bits():
+    ctx = make_field(2, 8)  # 8 components of up to 9 bits each: 7 in one int64 word
     t = ff.tables(ctx)
-    assert t._eval_terms is None
+    *_, words, b, per = t._powers
+    assert (b, per, len(words), words[0].dtype) == (9, 7, 2, np.int64)
     rows = np.random.default_rng(8).integers(0, 256, size=(2, 256)).astype(np.int32)
+    rows[1, :128] = 0
     assert t.batch_eval(rows).tolist() == _scalar_tables(ctx, rows)
+
+
+@pytest.mark.parametrize("p,n", [(5, 1), (3, 2), (2, 3)])
+def test_pow_outer_matches_scalar_powers(p, n):
+    ctx = make_field(p, n)
+    t = ff.tables(ctx)
+    q = ctx.q
+    got = t.pow_outer(np.arange(q), np.arange(q))
+    assert got.tolist() == [[ctx.index_of(ctx.el_at(x) ** e) for e in range(q)]
+                            for x in range(q)]
+    # more bases than elements take the whole-row path
+    assert (t.pow_outer(np.tile(np.arange(q), 2), np.arange(q)) == np.tile(got, (2, 1))).all()
+    for bad in (q, -1):
+        with pytest.raises(ValueError):
+            t.pow_outer(np.arange(q), np.array([0, bad]))
 
 
 @pytest.mark.parametrize("p,n", [(2, 12), (3, 7), (13, 3), (7, 2), (4093, 1)])
