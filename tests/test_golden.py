@@ -7,7 +7,9 @@ neither dtype nor the width of intp moves a digest.  They pin:
 - FieldTables.pow_outer over every (x, e) with 0 <= e < q;
 - every Rank2Sweep array on criterion 4's fields plus 19^2 and 127;
 - Rank1Sweep.weights on criterion 3's fields;
-- chain_value_tables of the length-1 and length-2 chain grids.
+- chain_value_tables of the length-1 and length-2 chain grids;
+- the FieldTables tables exp, add, mul, neg, inv0 and add_inv, on fields of
+  characteristic 2, odd prime fields and odd extension fields.
 They add to the oracle tests and replace none.  A change that moves a pinned
 result on purpose says so in CHANGES.md, with the old and the new digest.
 Print the current digests with `PYTHONPATH=src python tests/test_golden.py`.
@@ -29,10 +31,17 @@ RANK2_ARRAYS = ("a1_idx", "a2_idx", "a3_idx", "weights", "degrees", "special", "
                 "case_b", "gamma_idx", "exact_rank2")
 RANK1_FIELDS = [(5, 1), (3, 2), (5, 2), (3, 3), (7, 2)]
 CHAIN_QS = [(5, 1), (7, 1), (2, 3), (3, 2), (13, 1)]
+TABLE_FIELDS = [(2, 1), (2, 3), (2, 8), (2, 12), (3, 1), (53, 1), (4093, 1), (7, 2), (3, 5),
+                (19, 2), (13, 3), (3, 7)]
+TABLES = ("exp", "add", "mul", "neg", "inv0", "add_inv")
 
 
 def digest(a) -> str:
-    return hashlib.sha256(np.ascontiguousarray(a, dtype="<i8").tobytes()).hexdigest()
+    """sha256 of the int64 copy, taken 2^20 entries at a time."""
+    h, flat = hashlib.sha256(), np.ravel(a)
+    for s in range(0, len(flat), 1 << 20):
+        h.update(flat[s:s + (1 << 20)].astype("<i8").tobytes())
+    return h.hexdigest()
 
 
 def arrays():
@@ -57,6 +66,10 @@ def arrays():
         for length in (1, 2):
             yield (f"chain_value_tables {p}^{n} length {length}",
                    ff.chain_value_tables(t, ff.chain_grid(t.q, length)))
+    for p, n in TABLE_FIELDS:
+        t = ff.FieldTables(make_field(p, n))
+        for name in TABLES:
+            yield f"FieldTables.{name} {p}^{n}", getattr(t, name)
 
 
 GOLDEN = {
@@ -196,6 +209,78 @@ GOLDEN = {
     'chain_value_tables 3^2 length 2': '42d8ae7d055eb0b996f830c8e6304e33c146050ae57874cc3c4bf8ab1ec81d36',
     'chain_value_tables 13^1 length 1': '751b119bfe3637c4842f32c1eae47988dd326740d11ef71a2444fccea8ea1264',
     'chain_value_tables 13^1 length 2': 'a3917cd4deaa5bfa0bca1e1ba1f1b1e92f41d73c83fbf4e0b56c4705fa0fa022',
+    'FieldTables.exp 2^1': '7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8',
+    'FieldTables.add 2^1': 'db7f8e2aa97f8d230fc0a6c6d68184ecfee02f4bd2e94dcb331c0d3d54ca5fe8',
+    'FieldTables.mul 2^1': '013f21dd7052786e2c338b57f23ec2c7feb0c12f7b3b28fbb5affaca27103f51',
+    'FieldTables.neg 2^1': '9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db',
+    'FieldTables.inv0 2^1': '9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db',
+    'FieldTables.add_inv 2^1': 'db7f8e2aa97f8d230fc0a6c6d68184ecfee02f4bd2e94dcb331c0d3d54ca5fe8',
+    'FieldTables.exp 2^3': '267e6c3924633fc236fd1681f7a29c1aff56cfe5f44541f1c3681804451c4a29',
+    'FieldTables.add 2^3': '0c36cc322607a32c2601840aee7d820a15923b3392136668df7c8d17e989bd1d',
+    'FieldTables.mul 2^3': '52e25d947319a89e9f278b628450934877960e97ccbefd6460336a71e0be9df6',
+    'FieldTables.neg 2^3': 'fece8d601cd4c9020e24f9e4a47feedefb2bceff5e9798d8056aea8700052eaa',
+    'FieldTables.inv0 2^3': 'e7339b26d70588258575ca6cb171b9ecd17d54160b2e20a599aa09c3cd995cfe',
+    'FieldTables.add_inv 2^3': 'a535ebc406283e12faa450d046d369df7c417d6a522dc6eb6683492355a6bc07',
+    'FieldTables.exp 2^8': 'dd50d996236076d6a69d47b6f5092a2f07aee9f8e8de9d9873d534d3c1be2e37',
+    'FieldTables.add 2^8': '8789a1484021cb8c8d76e4ebd76cfc782111d57cd7969c1fe59e0b58c9f46e6a',
+    'FieldTables.mul 2^8': '7b4f9d5b6dc4f7b9f73d216b43bcb98715083b9f1d4e42923b42ff1a59362a92',
+    'FieldTables.neg 2^8': 'bbd330b12e8159e117376ef24fa106413bc9fc18032a0d43e95c5dae5e47953f',
+    'FieldTables.inv0 2^8': '9efaa8fb9917e2270bca0aad697f56887f221ae773eac01f6a10e91d79586ef8',
+    'FieldTables.add_inv 2^8': '7868e391e6a20bcf797822b38ab1c7d157ba129b5a68cba63b09ff4f8ede19ed',
+    'FieldTables.exp 2^12': '8bf9d85aa4e43c4cc5499cd4e9e91fd3c962ed1014302c1caf3ad62fda7b9a1b',
+    'FieldTables.add 2^12': '8d5ac09efc39a7f56a9dfee71a213244c53edf608537e8514ad5d38f3398319a',
+    'FieldTables.mul 2^12': '82f942cb177404a7cc41d951a02e5748d7a2fafdf80174334123bc41d324c6e4',
+    'FieldTables.neg 2^12': 'b83e23eb1db808bf694ae4894d62b50c9840bcd869ba7ac2456f40ddf0530bf3',
+    'FieldTables.inv0 2^12': '8a54c6a345446777b62c4adca1d0b0e7777b2fc4dcca36078d0404d6abd9beec',
+    'FieldTables.add_inv 2^12': 'e7b5854d8e38da34d6c0bea5893a6fa64fb1898e4c5fbdd24801727aada3383d',
+    'FieldTables.exp 3^1': '0c730b69905c5ef7a4ca5269f72365400bde2dd2c04eaf9bbb3d1c4a265a0131',
+    'FieldTables.add 3^1': '39b5a26cf03bff464965d7ec144cb47b82d08f2515fd002d90938db9c0bce396',
+    'FieldTables.mul 3^1': '700c6daf40792c6cfe05bb5f47b8baf925f68a582bcb1213ee0f6ccfab6ed101',
+    'FieldTables.neg 3^1': '0f004f117335020e1d19c25b8767278bf1edb2fa6ff3fac943d843b6003d0eb5',
+    'FieldTables.inv0 3^1': 'ab25350e3e65efebe24584461683ecda68725576e825e550038b90e7b1479946',
+    'FieldTables.add_inv 3^1': '39b5a26cf03bff464965d7ec144cb47b82d08f2515fd002d90938db9c0bce396',
+    'FieldTables.exp 53^1': '95694a96309aff66294ac9535126b355410f576998e9476656d363389bd1a7ce',
+    'FieldTables.add 53^1': 'f109063bb06069b02537fc45685ea64755b2eba2f9e026c5d576ff8bdd88fb22',
+    'FieldTables.mul 53^1': '41168bc5f8c7be98001e3aef11fe27c6022653cc762eef83913fe4bee19e69ed',
+    'FieldTables.neg 53^1': '2905df363e6a63b079d73d0ee19426575a9c9edf01cbabe65c6f59b439f91a3a',
+    'FieldTables.inv0 53^1': '248dd9304d031a973c1cc481e7acb99cdb49a0e130e26e4c3126716fe50ba6c8',
+    'FieldTables.add_inv 53^1': '6c45a4d751842669131551eb12ae828ca23376aaf2becad293abde63538bb08c',
+    'FieldTables.exp 4093^1': '267d51552bd7abcb6a7edabb271464faca2381fa8a5ee10555c5ab031f7ccaf6',
+    'FieldTables.add 4093^1': '2c56c25ddc3b880c88ec59ba616438609528b69a9e86daba091b96c31f517148',
+    'FieldTables.mul 4093^1': '611f39ef38e68a49fac1af393f16f76e7d1cd16da6a1c299b0fd2460c3dafdf5',
+    'FieldTables.neg 4093^1': '3ea2a609f6714bacc2ac4b2957e73162ab97a4dbe3797f2a72ec53c11dadd89c',
+    'FieldTables.inv0 4093^1': '81ac9b679e9ed9f4ab8512a61e269ab92d20dac93ec9bed0bc4b57ca70ff659e',
+    'FieldTables.add_inv 4093^1': '91aa7425ef10af4dd5975f1ca26ef2aeb52ef8246ae10b45d8c8f6d389f33816',
+    'FieldTables.exp 7^2': 'b7eefa8af3f7aa5043e54e29852929e3698b1af2192fe642a4c6eb4dd40b4bc7',
+    'FieldTables.add 7^2': '73678cf071cf7baa368761afbf0570d3245563f1094f871f24f18f8623a8392d',
+    'FieldTables.mul 7^2': '3c4479176118c62c4644fbe0672e317f3bc1148fd59cb6e78946aeb5566a8286',
+    'FieldTables.neg 7^2': 'f4bbfebcd7279250c01e7647f88e3571eac87e516eed6060fe7f2bb078dd9339',
+    'FieldTables.inv0 7^2': '9c0177d30e5cb97adab14c1a233eafc70441ff0574e60cdb6287afbea4fb824a',
+    'FieldTables.add_inv 7^2': '13fff72b3e6c6cd4b57efaec454b6dcb9c40539e5d88b8c258775b6b0946b002',
+    'FieldTables.exp 3^5': '765bbf461415130c2fed1eac8b0b59c9d623e4c06073a892e5d73c322e0be94d',
+    'FieldTables.add 3^5': 'f51377565878b2dcb203916bc82a412f4d02345cd98568324d4a355d8462fcc3',
+    'FieldTables.mul 3^5': 'f8e06d4cbf78375b27cd68ca347b5118b156f20ace474fef3cef7880a7a03326',
+    'FieldTables.neg 3^5': 'b8be5d82384bf17ac5c7fdd67656c294ac6763e07096a99d26e430e94dcb9728',
+    'FieldTables.inv0 3^5': '68d5df318348e22bae4e7cd23453a3bb02202b86b5ccb62072e70e473e2020a5',
+    'FieldTables.add_inv 3^5': '541b24f8c3199156f57476393cfa683d53eeb097ee6a7e37ecf43ed71f30c0c0',
+    'FieldTables.exp 19^2': '42ae4828d5b74c24fd88e344feddf269f55d16b7f2a49b07e3441095e1ad81dd',
+    'FieldTables.add 19^2': '4a3224b88be234925bf8ffefca1ca1b65e063d122084fcb6aa855cc177ed03af',
+    'FieldTables.mul 19^2': 'e99368b4166ab4eb8fd431cf003a59dd345f1ab54ab0ca17db4289c613d6ee6d',
+    'FieldTables.neg 19^2': '6302c876ee186433d4e03d2ba5df8dd55eabc52585fa4dc36125fefb787a7907',
+    'FieldTables.inv0 19^2': '050dea616e4825a469a9604eb1d14edd45d6436d097c80ba88bc4d1b7593304e',
+    'FieldTables.add_inv 19^2': '0b15fd07da60d06fc9612978204191f440551695b3214f451a88283f83ffc590',
+    'FieldTables.exp 13^3': '78f4da51c6f28db5465408f3dcd0ef247eb5a368d52e0fb63c06e23574760c8f',
+    'FieldTables.add 13^3': '7931b56081b9556712edd5ca6b4a266792f54c6533ff4ea996baa7d05707f59f',
+    'FieldTables.mul 13^3': '44b53a96b558df12bc3ed5a2147b2aa71512b4eeefe0e8c4b7ceb35237412253',
+    'FieldTables.neg 13^3': '57354010ca5fb74477ac70389b299c2a11fb28b7a3310e4f104cf67a150227dc',
+    'FieldTables.inv0 13^3': '3b0d07ab7f50efc2bf4005774498273d7737df1aaa8b3df3f02f1a457d05dd64',
+    'FieldTables.add_inv 13^3': '8a8c712863122630fa6be651fad6a16ea490bf2a67b25389dc2a3c347001e11c',
+    'FieldTables.exp 3^7': 'b5741c366f71ca1c64985b9e4dbcd7df8c874be008dac013ed0b6c0c2f41a49b',
+    'FieldTables.add 3^7': 'f656828b36db61cd2b6be4661e9d27ecfd29cbacb3018fad05959ace8be90cfc',
+    'FieldTables.mul 3^7': '1343844e032ff96ace1309da25dfc1082c9b50a565f983ffc70a69062bb2f79f',
+    'FieldTables.neg 3^7': '5b3d8ec6e7af4f22f06e0a2a0aeec41d32fa68aafbcb51efcefb9797fe4e2ad3',
+    'FieldTables.inv0 3^7': '6e9bd39902399a97496f90ae6ccae6085b22022a8c70902e5078c8fd319c179d',
+    'FieldTables.add_inv 3^7': 'f30f54404da031b02373335a159caa523dac33acd2dca9011693723fd68fd9c9',
 }
 
 
