@@ -1,14 +1,16 @@
 """Vectorized field arithmetic on element indices, for sweeps and single queries.
 
 Elements of F_q are identified with their position in the fixed
-enumeration (see gf); index 0 is the zero element.  Addition and
-multiplication are q x q tables, the multiplication table built from
-discrete logs, whose powers of g come from integer arithmetic (a running
-product for prime fields, blocks doubled by a matrix over F_p otherwise).
-Every power x^i comes from one cached power table, i log x mod (q-1) with
-sentinels for zero: pow_outer gathers from it, and batch_eval sums every
-term c_i x^i at once as prime-field components packed into int32 or int64
-words.  Interpolation is one explicit (q*n)^2 matrix over F_p, applied as
+enumeration (see gf); index 0 is the zero element.  Every table is one
+whole-array formula over one log/exp pair: exp holds the powers of g, in
+blocks doubled by the n x n matrix of multiplication by g over F_p, lg is
+their log with 2(q-1) at 0 and exp4 is exp twice, then zeros, so the q x q
+multiplication table is exp4[lg[a] + lg[b]]; the q x q addition table is
+built digit by digit from the p x p table of sums mod p.  Every power x^i
+comes from one cached power table, i lg[x] mod (q-1) with sentinels for
+zero: pow_outer gathers from it, and batch_eval sums every term c_i x^i
+at once as prime-field components packed into int32 or int64 words.
+Interpolation is one explicit (q*n)^2 matrix over F_p, applied as
 one float GEMM that is exact because every partial sum is an integer the
 float type holds (float32 when q*n*(p-1)^2 < 2^24, else float64).
 Chain value tables are built one block of rows at a time by one stage
@@ -58,62 +60,51 @@ class FieldTables:
         self.place = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
         # coefficient vectors by index
-        idx = np.arange(q, dtype=np.int64)
         elems = np.empty((q, n), dtype=np.int64)
-        rem = idx.copy()
+        rem = np.arange(q, dtype=np.int64)
         for k in range(n):
             elems[:, k], rem = np.divmod(rem, self.place[k])
         self.elems = elems
 
-        # powers of the primitive element g, without Fe products
-        g = primitive_element(ctx).coeffs
-        if n == 1:  # a running product mod p
-            powers, acc = [], 1
-            for _ in range(q - 1):
-                powers.append(acc)
-                acc = acc * g[0] % p
-            exp = np.array(powers, dtype=np.int32)
-        else:  # by doubling: times g is v -> v @ M on coefficient vectors, M[j] = x^j g
-            M = np.zeros((n, n), dtype=np.int64)
-            for j in range(n):
-                red = _pmulmod([0] * j + [1], list(g), ctx.modulus, p)
-                M[j, :len(red)] = red
-            vecs = np.zeros((q - 1, n), dtype=np.int64)
-            vecs[0, 0] = 1
-            m = 1
-            while m < q - 1:  # block [m, 2m) is block [0, m) times g^m; M is now M_g^m
-                k = min(m, q - 1 - m)
-                vecs[m:m + k] = vecs[:k] @ M % p
-                M = M @ M % p
-                m += k
-            exp = (vecs @ self.place).astype(np.int32)
-        self.exp = exp
-        log = np.full(q, -1, dtype=np.int32)
-        log[exp] = np.arange(q - 1)
-        self.log = log
+        # powers of the primitive element g by doubling, without Fe products: times g
+        # is v -> v @ M on coefficient vectors, M[j] = x^j g ([g] itself when n = 1)
+        g = list(primitive_element(ctx).coeffs)
+        M = np.zeros((n, n), dtype=np.int64)
+        for j in range(n):
+            red = _pmulmod([0] * j + [1], g, ctx.modulus, p)
+            M[j, :len(red)] = red
+        vecs = np.zeros((q - 1, n), dtype=np.int64)
+        vecs[0, 0] = 1
+        m = 1
+        while m < q - 1:  # block [m, 2m) is block [0, m) times g^m; M is now M_g^m
+            k = min(m, q - 1 - m)
+            vecs[m:m + k] = vecs[:k] @ M % p
+            M = M @ M % p
+            m += k
+        self.exp = (vecs @ self.place).astype(np.int32)
+        # the one log: lg[exp[i]] = i, 2(q-1) at 0; exp4 is exp twice, then zeros up
+        # to index 4(q-1), so exp4[lg[a] + lg[b]] is a*b with no mask or mod
+        zero = 2 * (q - 1)
+        self.lg = np.full(q, zero, dtype=np.int32)
+        self.lg[self.exp] = np.arange(q - 1)
+        self.exp4 = np.concatenate((self.exp, self.exp, np.zeros(zero + 1, dtype=np.int32)))
 
         # operation tables, one q x q int32 temporary at a time
         check_bytes(4 * q * q, f"a q x q table at q = {q}")
-        add = np.zeros((q, q), dtype=np.int32)
-        for k in range(n):  # digit k of the sum, reduced by one conditional subtract
-            d = elems[:, k].astype(np.int32)
-            s = d[:, None] + d[None, :]
-            np.subtract(s, p, out=s, where=s >= p)
-            s *= int(self.place[k])
-            add += s
-            del s
+        # a1[i, j] = (i + j) mod p, row i the window [i, i + p) of 0..p-1, 0..p-2; then
+        # one leading digit at a time: with m = len(add), the sum of the elements
+        # first * m + lower and first' * m + lower' is a1[first, first'] * m + add[lower, lower']
+        a1 = np.lib.stride_tricks.sliding_window_view(np.arange(2 * p - 1, dtype=np.int32) % p,
+                                                      p).copy()
+        add = a1
+        for _ in range(n - 1):
+            m = len(add)
+            add = (a1[:, None, :, None] * m + add[None, :, None, :]).reshape(m * p, m * p)
         self.add = add
-        mul = np.zeros((q, q), dtype=np.int32)
-        lg = log[1:]
-        e = lg[:, None] + lg[None, :]
-        np.subtract(e, q - 1, out=e, where=e >= q - 1)
-        mul[1:, 1:] = exp[e]
-        del e
-        self.mul = mul
+        self.mul = self.exp4[self.lg[:, None] + self.lg[None, :]]
         self.neg = (((p - elems) % p) @ self.place).astype(np.int32)
-        inv = np.zeros(q, dtype=np.int32)
-        inv[1:] = exp[(q - 1 - log[1:]) % (q - 1)]
-        self.inv0 = inv
+        self.inv0 = np.zeros(q, dtype=np.int32)
+        self.inv0[1:] = self.exp4[q - 1 - self.lg[1:]]
         # embedded integers: index of the coefficient vector (i, 0, ..., 0)
         self.emb = (np.arange(p, dtype=np.int64) * self.place[0]).astype(np.int32)
 
@@ -135,42 +126,37 @@ class FieldTables:
         """The flat q*q table add[a, inv0[v]] at a*q + v: one chain stage per gather,
         built on the first chain_value_tables call with a stage after (a0, a1)."""
         check_bytes(4 * self.q ** 2, f"the composed add/inv0 table at q = {self.q}")
-        return self.add[:, self.inv0].ravel()
+        return np.take(self.add, self.inv0, axis=1).ravel()
 
     # -- powers with the 0**0 = 1 convention -------------------------------
     @functools.cached_property
     def _powers(self):
-        """The one power table, built on first use: (lg, pow_log, exp4, words, b, per).
+        """The one power table, built on first use: (pow_log, words, b, per).
 
         x^i is exp4[pow_log[x, i]] and c x^i is exp4[lg[c] + pow_log[x, i]], with
-        no mask or mod: lg is log with 2(q-1) at 0, pow_log[x, i] is i log x mod
-        (q-1) with 0 at (0, 0) (0^0 = 1) and 2(q-1) elsewhere on row 0, and exp4
-        is exp twice, then zeros up to index 4(q-1).  words packs the components
-        of exp4 for batch_eval: component k in word k // per at bit b (k % per),
-        b bits each to hold a sum of q of them, per = 31 // b in int32 words
-        when all n fit in 31 bits, else 63 // b in int64 words.
+        no mask or mod: pow_log[x, i] is i lg[x] mod (q-1) with 0 at (0, 0)
+        (0^0 = 1) and 2(q-1) elsewhere on row 0, int16 as 2(q-1) < 2^15 under
+        TABLE_CAP.  words packs the components of exp4 for batch_eval: component
+        k in word k // per at bit b (k % per), b bits each to hold a sum of q of
+        them, per = 31 // b in int32 words when all n fit in 31 bits, else 63 // b
+        in int64 words.
         """
         q, p, n = self.q, self.p, self.n
-        zero = 2 * (q - 1)
         check_bytes(4 * q * q, f"the q x q power table at q = {q}")
-        lg = self.log.copy()
-        lg[0] = zero
-        pow_log = np.arange(q, dtype=np.int32) * lg[:, None]
+        pow_log = np.arange(q, dtype=np.int32) * self.lg[:, None]
         pow_log %= q - 1
-        pow_log[0, 1:] = zero
-        exp4 = np.zeros(2 * zero + 1, dtype=np.int32)
-        exp4[:zero] = np.tile(self.exp, 2)
+        pow_log[0, 1:] = 2 * (q - 1)
         b = (q * (p - 1)).bit_length()
         dtype, per = (np.int32, 31 // b) if n * b <= 31 else (np.int64, 63 // b)
-        packed = self.elems[exp4] << b * (np.arange(n) % per)
+        packed = self.elems[self.exp4] << b * (np.arange(n) % per)
         words = [packed[:, k:k + per].sum(axis=1).astype(dtype) for k in range(0, n, per)]
-        return lg, pow_log, exp4, words, b, per
+        return pow_log.astype(np.int16), words, b, per
 
     def pow_outer(self, base: np.ndarray, exps: np.ndarray) -> np.ndarray:
         """(len(base), len(exps)) array of base[r]^exps[c], 0 <= exps < q: one
         gather from the power table, of whole rows when there are more bases
         than field elements and of the (base, exponent) entries otherwise."""
-        _, pow_log, exp4, *_ = self._powers
+        pow_log, exp4 = self._powers[0], self.exp4
         base = np.asarray(base)
         exps = np.asarray(exps)
         if exps.size and (exps.min() < 0 or exps.max() >= self.q):
@@ -232,7 +218,7 @@ class FieldTables:
         """
         coeff_rows = np.asarray(coeff_rows, dtype=np.int32)
         q, p, n = self.q, self.p, self.n
-        lg, pow_log, _, words, b, per = self._powers
+        lg, (pow_log, words, b, per) = self.lg, self._powers
         out = np.empty(coeff_rows.shape, dtype=np.int32)
         pts = min(q, max(1, ROW_BLOCK // q))  # points per pass
         step = max(1, ROW_BLOCK // (pts * q))  # rows per pass

@@ -101,9 +101,10 @@ def test_pow_outer_matches_scalar_powers(p, n):
             t.pow_outer(np.arange(q), np.array([0, bad]))
 
 
-@pytest.mark.parametrize("p,n", [(2, 12), (3, 7), (13, 3), (7, 2), (4093, 1)])
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (53, 1), (2, 12), (3, 7), (13, 3), (7, 2),
+                                 (4093, 1)])
 def test_tables_match_the_scalar_power_walk(p, n):
-    """exp, log, mul and inv0 as the powers of g by Fe products give them."""
+    """exp, lg, exp4, add, mul and inv0 as the powers of g and Fe sums give them."""
     from ffperm.gf import primitive_element
     ctx = make_field(p, n)
     t = ff.FieldTables(ctx)
@@ -113,19 +114,29 @@ def test_tables_match_the_scalar_power_walk(p, n):
         walk.append(ctx.index_of(acc))
         acc = acc * g
     assert t.exp.tolist() == walk
-    log = np.full(q, -1)
+    log = np.full(q, 2 * (q - 1))
     log[walk] = np.arange(q - 1)
-    assert (t.log == log).all()
+    assert (t.lg == log).all()
     inv = np.zeros(q, dtype=np.int64)
     inv[walk] = np.array(walk)[(-np.arange(q - 1)) % (q - 1)]
     assert (t.inv0 == inv).all()
     lg = log[1:]
     assert (t.mul[1:, 1:] == np.array(walk)[(lg[:, None] + lg[None, :]) % (q - 1)]).all()
     assert not t.mul[0].any() and not t.mul[:, 0].any()
-    rng = np.random.default_rng(q)  # a few products and inverses by Fe directly
+    # the flat views chain_value_tables and rank2_coeff_rows gather from
+    for table in (t.add, t.mul):
+        assert table.dtype == np.int32 and np.shares_memory(table.ravel(), table)
+    rng = np.random.default_rng(q)  # a few sums, products and inverses by Fe directly
     for i, j in rng.integers(0, q, size=(50, 2)):
         a, b = ctx.el_at(int(i)), ctx.el_at(int(j))
-        assert t.mul[i, j] == ctx.index_of(a * b) and t.inv0[i] == ctx.index_of(inv0(a))
+        assert t.add[i, j] == ctx.index_of(a + b)
+        assert t.mul[i, j] == ctx.index_of(a * b) == t.exp4[t.lg[i] + t.lg[j]]
+        assert t.inv0[i] == ctx.index_of(inv0(a))
+
+
+def test_pow_log_fits_int16_under_the_table_cap():
+    assert 2 * (ff.TABLE_CAP - 1) <= np.iinfo(np.int16).max
+    assert ff.tables(make_field(3, 2))._powers[0].dtype == np.int16
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 2)])
