@@ -9,7 +9,8 @@ neither dtype nor the width of intp moves a digest.  They pin:
 - Rank1Sweep.weights on criterion 3's fields;
 - chain_value_tables of the length-1 and length-2 chain grids;
 - the FieldTables tables exp, add, mul, neg, inv0 and add_inv, on fields of
-  characteristic 2, odd prime fields and odd extension fields.
+  characteristic 2, odd prime fields and odd extension fields;
+- carlitz.expand_chain of one seeded chain of each length 1, 2 and 3.
 They add to the oracle tests and replace none.  A change that moves a pinned
 result on purpose says so in CHANGES.md, with the old and the new digest.
 Print the current digests with `PYTHONPATH=src python tests/test_golden.py`.
@@ -34,6 +35,7 @@ CHAIN_QS = [(5, 1), (7, 1), (2, 3), (3, 2), (13, 1)]
 TABLE_FIELDS = [(2, 1), (2, 3), (2, 8), (2, 12), (3, 1), (53, 1), (4093, 1), (7, 2), (3, 5),
                 (19, 2), (13, 3), (3, 7)]
 TABLES = ("exp", "add", "mul", "neg", "inv0", "add_inv")
+EXPAND_FIELDS = [(53, 1), (7, 2), (7, 3), (3, 5), (2, 8), (1021, 1), (4093, 1)]
 
 
 def digest(a) -> str:
@@ -70,6 +72,15 @@ def arrays():
         t = ff.FieldTables(make_field(p, n))
         for name in TABLES:
             yield f"FieldTables.{name} {p}^{n}", getattr(t, name)
+    for p, n in EXPAND_FIELDS:
+        ctx = make_field(p, n)
+        for length in (1, 2, 3):
+            # a0 and a2..a_length nonzero, a1 and a_(length+1) any element
+            rng = np.random.default_rng([ctx.q, length])
+            a = [rng.integers(1, ctx.q), rng.integers(ctx.q)]
+            a += [rng.integers(1, ctx.q) for _ in range(length - 1)] + [rng.integers(ctx.q)]
+            f = cz.expand_chain(cz.Chain(ctx, tuple(ctx.el_at(int(i)) for i in a)))
+            yield f"expand_chain {p}^{n} length {length}", ff.coeff_row(f)
 
 
 GOLDEN = {
@@ -281,6 +292,27 @@ GOLDEN = {
     'FieldTables.neg 3^7': '5b3d8ec6e7af4f22f06e0a2a0aeec41d32fa68aafbcb51efcefb9797fe4e2ad3',
     'FieldTables.inv0 3^7': '6e9bd39902399a97496f90ae6ccae6085b22022a8c70902e5078c8fd319c179d',
     'FieldTables.add_inv 3^7': 'f30f54404da031b02373335a159caa523dac33acd2dca9011693723fd68fd9c9',
+    'expand_chain 53^1 length 1': '8927c68670931e232069718e6a2c29019566cf48864981bf439a69d4203edaeb',
+    'expand_chain 53^1 length 2': '3897688df12b321b2b22c823c903d64e83bc2d94d7945ae126f8eead600e8c61',
+    'expand_chain 53^1 length 3': 'c5b86f71990ab6ab88d16c564932d6d7278646df1af8fcd143a012ebb2be295c',
+    'expand_chain 7^2 length 1': 'a23ac1a4aae5deac212f64a901678e45796334f10fe7a908f6192785b4e06432',
+    'expand_chain 7^2 length 2': '308d5801db92eb03091935b087d0968b4e33b3588e6f5bdcd7b294b1fbf56885',
+    'expand_chain 7^2 length 3': '29edd37a7bd56fb1697a2037d799287dd676e6ba899ed9d12f6c47059adc106f',
+    'expand_chain 7^3 length 1': 'cc8fd4b4a582516b63e436ea605a8ba8f03aee14e80b5f700fe29a35a3bb7d9b',
+    'expand_chain 7^3 length 2': 'f44da37baac84674d07eb8a96da9651d4a52cd2882ab57b20d0dd91b4c9a1266',
+    'expand_chain 7^3 length 3': 'b11fa6b106d1e34919cbe953173cf0a884eaca3669cdc73b83c88bf8a1f5b28d',
+    'expand_chain 3^5 length 1': '4aa95b66d40b66b30bde13a024bd1937c290a5fb5ab424f45e25a4ee7e4fb53b',
+    'expand_chain 3^5 length 2': '238b3693b99411803f25cf03de7df5aca6ef4a0710ba868d54484e1effe8de3f',
+    'expand_chain 3^5 length 3': '77844c3359105bc3ebf86cb03c8200862b10ce96289da02c3109738149851fb9',
+    'expand_chain 2^8 length 1': '054d98ad2a43c12b8ec1950071126eb12bb53aabea114b07cfd161da45660443',
+    'expand_chain 2^8 length 2': '8c30f4d90501c210a43b5a70d7d63d55cd8decbd97593ca1db1665ace16fd319',
+    'expand_chain 2^8 length 3': '2948e7b09a894e77453f40bc98683f46a3cc9cf23a97dc6097b1b256c608819c',
+    'expand_chain 1021^1 length 1': '86bca2c77c6c9f54f6524b010253ef0d1d12074864507675ba0f2769ba4feae9',
+    'expand_chain 1021^1 length 2': '45aa9e6a57eb50eca476804c1a9189a6d23a7e7b5d34f15c64f1ef1aa7980a4b',
+    'expand_chain 1021^1 length 3': '2b34d14939f460186868faea8ee6beb2d9dd1f573a776f9f41c36fed8ac1ac66',
+    'expand_chain 4093^1 length 1': '1684be3f7c60064feb664e9e73397732569de326b987f68cde4dbdeed3af61ce',
+    'expand_chain 4093^1 length 2': '7178dbe80601aa083ed11e32c804c7c1bb45f843f609b6c8130189285bc21eef',
+    'expand_chain 4093^1 length 3': '2b7efcb146aab1790aec6fea4fedbded07a7da0216c1e72ddba95e7c2d02fadd',
 }
 
 
