@@ -136,12 +136,13 @@ def _poly_of_row(ctx: FieldCtx, row) -> Poly:
 def expand_chain(ch: Chain) -> Poly:
     """Reduced polynomial of the chain; always a permutation polynomial.
 
-    The one row of fastfield.chain_coeff_rows: the chain's value table on
-    index tables, interpolated by the explicit matrix.
+    The chain's value table on index tables, interpolated by
+    FieldTables.batch_interp, which evaluates and builds no matrix.
     """
     ctx = ch.ctx
+    t = ff.tables(ctx)
     cols = [[ctx.index_of(a)] for a in ch.a]
-    return _poly_of_row(ctx, ff.chain_coeff_rows(ff.tables(ctx), cols)[0])
+    return _poly_of_row(ctx, t.batch_interp(ff.chain_value_tables(t, cols))[0])
 
 
 def expand_chain_by_powers(ch: Chain) -> Poly:
@@ -489,9 +490,10 @@ def sweep_rank1(ctx: FieldCtx) -> Rank1Sweep:
 class Rank2Sweep:
     """Normalized rank-2 sweep: a0 = -1, constant term forced to 0.
 
-    One row per (a1, a2 != 0).  Weights come from the chain value tables
-    via interpolation (independent of the closed form), block by block, as
-    do the rows coeff_rows[idx] recomputes; gamma_idx holds
+    One row per (a1, a2 != 0).  Weights come from the chain value tables,
+    interpolated block by block by chain_coeff_blocks' GEMM (independent of
+    the closed form); the rows coeff_rows[idx] recomputes come from the same
+    value tables through the matrix-free batch_interp.  gamma_idx holds
     (a1 + a2^-1)/a1 for case-(c) rows and 0 elsewhere.
     """
 

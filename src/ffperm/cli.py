@@ -47,8 +47,8 @@ def _capped(ctx: FieldCtx, cap: int) -> FieldCtx:
 
 def _chain_from_args(args):
     """--chain over the field options, as a carlitz.Chain, refused above the
-    rank cap as `rank` is: `expand` and `rank2-coeffs` expand it through the
-    (q*n)^2 interpolation matrix."""
+    rank cap as `rank` is.  `expand` and `rank2-coeffs` build no (q*n)^2
+    matrix; the cap stays until a measurement of them moves it."""
     from . import carlitz as cz
     ctx = _capped(_field_from_args(args), cz.RANK_CAP_DEFAULT)
     try:

@@ -10,15 +10,16 @@ built digit by digit from the p x p table of sums mod p.  Every power x^i
 comes from one cached power table, i lg[x] mod (q-1) with sentinels for
 zero: pow_outer gathers from it, and batch_eval sums every term c_i x^i
 at once as prime-field components packed into int32 or int64 words.
-Interpolation is one explicit (q*n)^2 matrix over F_p, applied as
-one float GEMM that is exact because every partial sum is an integer the
-float type holds (float32 when q*n*(p-1)^2 < 2^24, else float64).
+batch_interp builds no matrix: by Blahut's theorem the coefficients are
+the DFT of the sequence f(g^j), which batch_eval computes.
 Chain value tables are built one block of rows at a time by one stage
 loop of 2-D table gathers: each stage but the last is computed once per
 run of equal parameter prefixes, each stage after the first by one gather
-from the composed table add[a, inv0[v]]; chain_coeff_blocks interpolates
-them block by block into one workspace per call, so a sweep holds no
-(rows x q) table and each yielded block is a view the next overwrites.
+from the composed table add[a, inv0[v]].  chain_coeff_blocks, the sweeps'
+block loop, interpolates them by one float GEMM with the explicit
+(q*n)^2 matrix over F_p, exact because every partial sum is an integer
+the float type holds (float32 when q*n*(p-1)^2 < 2^24, else float64),
+into one workspace per call, so a sweep holds no (rows x q) table.
 ROW_BLOCK bounds the entries of every block; CHANGES.md records how its
 value was chosen.  The rank-2 closed form computes its (a1, a2) factor
 once per distinct pair.  All batch routines here are cross-checked against
@@ -167,8 +168,8 @@ class FieldTables:
 
     # -- evaluation and interpolation -------------------------------------
     def interp_matrix(self) -> np.ndarray:
-        """Interpolation as an F_p-linear map: a (q*n, q*n) matrix T with
-        coefficient components = value components @ T.
+        """Interpolation as an F_p-linear map for chain_coeff_blocks: a
+        (q*n, q*n) matrix T with coefficient components = value components @ T.
 
         Values are flattened point-major and coefficients component-major:
         component k of the value at the x-th enumerated point sits at row
@@ -237,49 +238,24 @@ class FieldTables:
                 out[r:r + step, s:s + pts] = v
         return out
 
-    def _interp_work(self, m: int, dtype=np.int32) -> tuple[np.ndarray, ...]:
-        """batch_interp's buffers for up to m rows: the gathered components and
-        the GEMM output, (m, q*n) of the matrix dtype, and the (m, q) indices."""
-        T = self.interp_matrix()
-        qn = self.q * self.n
-        return (np.empty((m, qn), T.dtype), np.empty((m, qn), T.dtype),
-                np.empty((m, self.q), dtype))
-
-    def batch_interp(self, table_rows: np.ndarray, _work=None) -> np.ndarray:
+    def batch_interp(self, table_rows: np.ndarray) -> np.ndarray:
         """Reduced coefficients of value-table rows (indices in, indices out).
 
-        One gather of each value's n components as one void item, then one
-        GEMM over the rows (chain_coeff_blocks feeds it in blocks); its exact
-        integer products are reduced mod p and recombined into indices in
-        int32 (int64 beside a float64 matrix, whose products can pass 2^31).
-        Every step writes into the buffers of _interp_work: fresh ones per
-        call, or the block loop's _work, whose result is overwritten by the
-        next block.  The integer residues reuse the gathered buffer and the
-        quotients by p the GEMM's, each dead by then; r - (r // p) * p is
-        several times faster than r % p.
+        Blahut's theorem: with S(y) = sum_{j < q-1} f(g^j) y^j,
+        S(g^-k) = sum_{x != 0} f(x) x^-k, so interp_matrix's formula reads
+            c_0 = f(0),  c_k = -S(g^-k) (1 <= k <= q-2),  c_{q-1} = -(f(0) + S(1)),
+        and one batch_eval of the sequences, padded with a zero coefficient,
+        gives every S(g^-k), with no matrix.
         """
-        T = self.interp_matrix()
-        m, q = table_rows.shape
-        n, p = self.n, self.p
+        q = self.q
         if table_rows.size and (table_rows.min() < 0 or table_rows.max() >= q):
             raise IndexError(f"value index outside [0, {q})")
-        flat, prod, out = (w[:m] for w in _work or self._interp_work(m, table_rows.dtype))
-        comp = self.elems.astype(T.dtype)  # comp[a] = the n components of element a
-        void = np.dtype((np.void, comp.itemsize * n))
-        np.take(comp.view(void).ravel(), table_rows, out=flat.view(void), mode="clip")
-        np.matmul(flat, T, out=prod)  # (m, q*n), point-major in, component-major out
-        acc = np.int32 if T.dtype == np.float32 else np.int64
-        res, quot = flat.view(acc), prod.view(acc)
-        np.copyto(res, prod, casting="unsafe")
-        np.floor_divide(res, p, out=quot)
-        quot *= p
-        res -= quot
-        res = res.reshape(m, n, q)
-        np.copyto(out, res[:, 0], casting="unsafe")
-        for k in range(1, n):  # index = sum_k component_k p^(n-1-k), by Horner
-            out *= p
-            out += res[:, k]
-        return out
+        seq = np.zeros(table_rows.shape, dtype=np.int32)
+        seq[:, :q - 1] = table_rows[:, self.exp]
+        S = self.batch_eval(seq)[:, self.exp[-np.arange(1, q) % (q - 1)]]  # S(g^-k), k = 1..q-1
+        S[:, -1] = self.add[table_rows[:, 0], S[:, -1]]
+        seq[:, 0], seq[:, 1:] = table_rows[:, 0], self.neg[S]  # seq now holds the coefficients
+        return seq
 
 
 def tables(ctx: FieldCtx) -> FieldTables:
@@ -367,36 +343,52 @@ def chain_grid(q: int, n: int) -> list[np.ndarray]:
 
 def chain_coeff_blocks(t: FieldTables, a_list: list[np.ndarray]):
     """Yield (start, rows): the reduced coefficients of the chains with parameter
-    columns a_list, one block of ROW_BLOCK // (q*n) rows at a time; the one
-    block loop of interpolation, holding one block's value table at a time.
+    columns a_list, one block of ROW_BLOCK // (q*n) rows at a time, each by one
+    GEMM with interp_matrix, whose build the sweeps' many rows pay for.
 
-    Every block is interpolated into one workspace allocated per call, so
-    rows is a view that the next block overwrites: reduce or copy it first.
+    Every step writes into one workspace allocated per call, so rows is a
+    view that the next block overwrites: reduce or copy it first.  The exact
+    integer products (int64 beside a float64 matrix, as they can pass 2^31)
+    reuse the gathered buffer and their quotients by p the GEMM's, each dead
+    by then; r - (r // p) * p is several times faster than r % p.
     """
-    m = len(a_list[0])
-    block = max(1, ROW_BLOCK // (t.q * t.n))
-    work = t._interp_work(min(block, m))
+    T = t.interp_matrix()
+    q, n, p, m = t.q, t.n, t.p, len(a_list[0])
+    block = max(1, ROW_BLOCK // (q * n))
+    work = [np.empty((min(block, m), q * n), T.dtype) for _ in range(2)]
+    work.append(np.empty((min(block, m), q), np.int32))
+    comp = t.elems.astype(T.dtype)  # comp[a] = the n components of element a, as one item
+    comp = comp.view(np.dtype((np.void, comp.itemsize * n))).ravel()
+    acc = np.int32 if T.dtype == np.float32 else np.int64
     for s in range(0, m, block):
-        yield s, t.batch_interp(chain_value_tables(t, [a[s:s + block] for a in a_list]), work)
-
-
-def chain_coeff_rows(t: FieldTables, a_list: list[np.ndarray]) -> np.ndarray:
-    """Reduced coefficients of the chains with parameter columns a_list, (m, q)."""
-    out = np.empty((len(a_list[0]), t.q), dtype=np.int32)
-    for s, rows in chain_coeff_blocks(t, a_list):
-        out[s:s + len(rows)] = rows
-    return out
+        flat, prod, rows = (w[:m - s] for w in work)
+        # the value table goes straight into the gather, so it is freed before the next
+        np.take(comp, chain_value_tables(t, [a[s:s + block] for a in a_list]),
+                out=flat.view(comp.dtype), mode="clip")
+        np.matmul(flat, T, out=prod)  # point-major in, component-major out
+        res, quot = flat.view(acc), prod.view(acc)
+        np.copyto(res, prod, casting="unsafe")
+        np.floor_divide(res, p, out=quot)
+        quot *= p
+        res -= quot
+        res = res.reshape(len(rows), n, q)
+        np.copyto(rows, res[:, 0], casting="unsafe")
+        for k in range(1, n):  # index = sum_k component_k p^(n-1-k), by Horner
+            rows *= p
+            rows += res[:, k]
+        yield s, rows
 
 
 class ChainRows:
     """Coefficient rows of fixed chain parameter columns, holding the columns
-    only: rows[idx] recomputes those rows by chain_coeff_rows, never the closed form."""
+    only: rows[idx] recomputes those rows from their value tables by
+    batch_interp, never by the closed form."""
 
     def __init__(self, t: FieldTables, a_list: list[np.ndarray]):
         self.t, self.a_list = t, a_list
 
     def __getitem__(self, idx) -> np.ndarray:
-        return chain_coeff_rows(self.t, [a[idx] for a in self.a_list])
+        return self.t.batch_interp(chain_value_tables(self.t, [a[idx] for a in self.a_list]))
 
 
 def rank2_shift(t: FieldTables, a1, a2) -> np.ndarray:

@@ -103,6 +103,25 @@ def test_rank2_closed_form_exhaustive_f7():
         assert cz.rank2_coeffs(*ch.a) == cz.expand_chain(ch)
 
 
+def test_expand_builds_no_interp_matrix():
+    ctx = make_field(7, 2)
+    cz.expand_chain(chain_of(ctx, 3, 1, 2, 5))
+    assert ff.tables(ctx)._interp_matrix is None
+
+
+@pytest.mark.parametrize("p,n", [(2, 10), (3, 7)])
+def test_expand_where_the_matrix_is_refused(p, n):
+    ctx = make_field(p, n)
+    t = ff.tables(ctx)
+    with pytest.raises(FieldTooLarge):
+        t.interp_matrix()
+    rng = np.random.default_rng(ctx.q)
+    a = rng.integers([1, 0, 1, 0], ctx.q).tolist()  # a0, a2 nonzero
+    f = cz.expand_chain(cz.Chain(ctx, tuple(ctx.el_at(v) for v in a)))
+    assert f == cz.rank2_coeffs(*(ctx.el_at(v) for v in a))
+    assert (t.batch_eval(ff.coeff_row(f)) == ff.chain_value_tables(t, [[v] for v in a])).all()
+
+
 def test_rank2_piecewise_eval_matches_chain():
     for p, n in [(5, 1), (3, 2), (11, 1)]:
         ctx = make_field(p, n)
@@ -323,7 +342,7 @@ def test_sweep_rank2_streams_in_blocks(p, n, rows_per_block, monkeypatch):
         a, b = getattr(sw, name), getattr(whole, name)
         assert a.dtype == b.dtype and (a == b).all(), name
     cols = [np.full(m, t.neg[t.emb[1]], dtype=np.int32), sw.a1_idx, sw.a2_idx, sw.a3_idx]
-    coeffs = ff.chain_coeff_rows(t, cols)
+    coeffs = t.batch_interp(ff.chain_value_tables(t, cols))
     assert (sw.special == (coeffs[:, 1:q - 2] == 0).all(axis=1)).all()
     assert (sw.weights == ff.weight_rows(coeffs)).all()
     assert (sw.degrees == ff.degree_rows(coeffs)).all()
@@ -344,7 +363,8 @@ def test_sweep_rank1_streams_in_blocks(p, n, rows_per_block, monkeypatch):
     for name in ("weights", "predicted"):
         a, b = getattr(sw, name), getattr(whole, name)
         assert a.dtype == b.dtype and (a == b).all(), name
-    assert (sw.weights == ff.weight_rows(ff.chain_coeff_rows(t, ff.chain_grid(ctx.q, 1)))).all()
+    tabs = ff.chain_value_tables(t, ff.chain_grid(ctx.q, 1))
+    assert (sw.weights == ff.weight_rows(t.batch_interp(tabs))).all()
 
 
 def test_sweep_rank2_holds_no_coefficient_table(monkeypatch):

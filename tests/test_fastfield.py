@@ -180,11 +180,16 @@ def test_batch_interp_exact_at_float32_edge(p, n, dtype, monkeypatch):
     rows[1, ::2] = q - 1
     assert (t.batch_eval(t.batch_interp(rows)) == rows).all()
     assert (t.batch_interp(t.batch_eval(rows)) == rows).all()
-    # chain_coeff_rows in blocks of 3 rows, the last one short, against one block
+    # the GEMM of chain_coeff_blocks on the same rows, fed in as value tables by
+    # row number, against the matrix-free path
+    with monkeypatch.context() as mp:
+        mp.setattr(ff, "chain_value_tables", lambda t, cols: rows[cols[0]])
+        gemm = np.vstack([r.copy() for _, r in ff.chain_coeff_blocks(t, [np.arange(7)])])
+    assert (gemm == t.batch_interp(rows)).all()
+    # chains in blocks of 3 rows, the last one short, against the matrix-free path
     cols = [rng.integers(1, q, 7), rng.integers(0, q, 7), rng.integers(0, q, 7)]
-    whole = ff.chain_coeff_rows(t, cols)
+    whole = t.batch_interp(ff.chain_value_tables(t, cols))
     monkeypatch.setattr(ff, "ROW_BLOCK", 3 * q * n)
-    assert (ff.chain_coeff_rows(t, cols) == whole).all()
     # each block is a view of one workspace, overwritten by the next: copied out, they agree
     blocks = [(s, rows.copy()) for s, rows in ff.chain_coeff_blocks(t, cols)]
     assert [s for s, _ in blocks] == [0, 3, 6]
